@@ -18,7 +18,6 @@ from planloc import (
     MapIndex,
     PrismSpec,
     RigidTransform,
-    Scan,
     Scene,
     SelectiveConfig,
     WallSegment,
@@ -69,7 +68,7 @@ cfg = SelectiveConfig(
 
 errors_full, errors_sel = [], []
 for seed in range(10):
-    scan = Scan(raycast_scan(scene, pose, lidar, seed=seed).points)
+    scan = raycast_scan(scene, pose, lidar, seed=seed)
     out = selective_localize(scan, full_map, ref_map, pose, cfg)
     full_stage = out.full_icp
     errors_full.append(np.linalg.norm(prism_position(full_stage.transform, prism) - true_prism))
@@ -95,7 +94,7 @@ strict = SelectiveConfig(
     tau_rotation_rad=0.05,
     selective_icp=cfg.selective_icp,
 )
-scan = Scan(raycast_scan(scene, pose, lidar, seed=0).points)
+scan = raycast_scan(scene, pose, lidar, seed=0)
 out = selective_localize(scan, full_map, ref_map, pose, strict)
 print(f"\nwith 0.15 m threshold the refinement is {'accepted' if out.localized else f'rejected: {out.failure_reason.value}'}")
 

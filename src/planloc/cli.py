@@ -13,7 +13,6 @@ from pathlib import Path
 
 from . import experiment
 from .experiment import ConfigError, load_config
-from .fusion import Scan, read_fused_csv
 from .geometry import RigidTransform
 from .model import ModelError
 from .registration import result_record
@@ -71,11 +70,7 @@ def cmd_run_matrix(args: argparse.Namespace) -> int:
 
 def cmd_localize_once(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, _overrides(args))
-    scan_path = Path(args.scan)
-    if scan_path.suffix == ".csv" and args.fused:
-        scan = read_fused_csv(scan_path)
-    else:
-        scan = Scan.from_raw(read_scan_csv(scan_path))
+    scan = read_scan_csv(args.scan)
     images = [read_density_pgm(p) for p in args.image or []]
     init = _load_init_pose(args.init_pose) if args.init_pose else cfg.initial_pose
     result = experiment.localize_once(
@@ -102,9 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_once = sub.add_parser("localize-once", help="localize one scan file")
     _add_common(p_once)
-    p_once.add_argument("--scan", required=True, help="scan CSV (x,y,z,class)")
     p_once.add_argument(
-        "--fused", action="store_true", help="scan CSV already carries densities (x,y,z,d,w)"
+        "--scan", required=True, help="scan CSV, x,y,z,class or fused x,y,z,d,w"
     )
     p_once.add_argument(
         "--image", action="append", help="density PGM, one per rig camera, in rig order"

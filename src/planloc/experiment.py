@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fusion import FusionConfig, Scan, fuse_densities
+from .fusion import FusionConfig, fuse_densities
 from .geometry import RigidTransform
 from .metrics import (
     MetricsReport,
@@ -52,6 +52,7 @@ from .sensor_sim import (
     LidarSpec,
     LinearTrajectory,
     PrismSpec,
+    Scan,
     Scene,
     TrialFrame,
     default_camera_rig,
@@ -303,28 +304,32 @@ def scene_inventory(cfg: ExperimentConfig) -> list[str]:
     return lines
 
 
+def _rig_triples(images: Sequence[DensityImage], cameras: Sequence[CameraSpec]) -> list:
+    """(image, camera, camera pose in the body frame) per rig camera."""
+    if len(images) != len(cameras):
+        raise ValueError(f"got {len(images)} density images for a {len(cameras)}-camera rig")
+    return [(img, cam, cam.extrinsic) for img, cam in zip(images, cameras)]
+
+
 def fuse_frame(frame: TrialFrame, cfg: ExperimentConfig) -> tuple[Scan, int]:
-    """Project the frame's density images into its scan (body-frame poses
-    come from the mounted camera extrinsics)."""
-    triples = [
-        (img, cam, cam.extrinsic) for img, cam in zip(frame.images, cfg.cameras)
-    ]
-    return fuse_densities(frame.scan, triples, cfg.fusion)
+    """Project the frame's density images into its scan."""
+    return fuse_densities(frame.scan, _rig_triples(frame.images, cfg.cameras), cfg.fusion)
 
 
 def localize_frame(
-    frame_scan: Scan,
-    fused_scan: Scan,
+    scan: Scan,
     bundle: SceneBundle,
     cfg: ExperimentConfig,
+    init: RigidTransform,
     method: tuple[str, str],
 ) -> LocalizationResult:
-    scan = frame_scan if method[1] == "full" else fused_scan
+    """Localize one scan against the bundle's maps with the config's
+    weighting thresholds and selective settings."""
     return localize(
         scan,
         bundle.full_map,
         bundle.ref_map,
-        cfg.initial_pose,
+        init,
         method,
         delta=cfg.delta,
         delta_prime=cfg.delta_prime,
@@ -354,10 +359,10 @@ def run_execution(
     needs_fusion = any(m[1] != "full" for m in methods)
     records: dict[tuple[str, str], list[TrialRecord]] = {m: [] for m in methods}
     for frame in frames:
-        raw_scan = Scan.from_raw(frame.scan)
-        fused_scan = fuse_frame(frame, cfg)[0] if needs_fusion else raw_scan
+        fused_scan = fuse_frame(frame, cfg)[0] if needs_fusion else frame.scan
         for method in methods:
-            result = localize_frame(raw_scan, fused_scan, bundle, cfg, method)
+            scan = frame.scan if method[1] == "full" else fused_scan
+            result = localize_frame(scan, bundle, cfg, cfg.initial_pose, method)
             est = (
                 prism_position(result.transform, cfg.prism)
                 if result.localized
@@ -416,23 +421,11 @@ def localize_once(
 ) -> LocalizationResult:
     """Single-shot localization of an externally supplied scan.
 
-    When density images are given they are fused with the configured camera
-    rig first; otherwise the scan must already carry densities if a filtered
-    or weighted method is requested.
+    When density images are given, one per rig camera in rig order, they are
+    fused into the scan first; otherwise the scan must already carry
+    densities if a filtered or weighted method is requested.
     """
     bundle = assemble_scene(cfg)
     if images:
-        triples = [
-            (img, cam, cam.extrinsic) for img, cam in zip(images, cfg.cameras)
-        ]
-        scan = fuse_densities(scan, triples, cfg.fusion)[0]
-    return localize(
-        scan,
-        bundle.full_map,
-        bundle.ref_map,
-        init,
-        method,
-        delta=cfg.delta,
-        delta_prime=cfg.delta_prime,
-        cfg=cfg.selective,
-    )
+        scan = fuse_densities(scan, _rig_triples(images, cfg.cameras), cfg.fusion)[0]
+    return localize_frame(scan, bundle, cfg, init, method)

@@ -14,13 +14,13 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import RigidTransform, invert
-from .sensor_sim import CameraSpec, DensityImage, RawScan
+from .sensor_sim import CameraSpec, DensityImage, Scan
 
 COMBINE_RULES = ("max", "first_hit")
 
 
-class FusionError(Exception):
-    pass
+class FusionError(ValueError):
+    """The scan's densities cannot be weighted: an input error."""
 
 
 class MissingDensitiesError(FusionError):
@@ -44,37 +44,6 @@ class FusionConfig:
             raise ValueError(f"rule must be one of {COMBINE_RULES}")
 
 
-@dataclass(frozen=True)
-class Scan:
-    """Scan points with optional per-point densities and weights."""
-
-    points: np.ndarray  # (N, 3) sensor frame
-    densities: np.ndarray | None = None  # (N,) in [0, 1]
-    weights: np.ndarray | None = None  # (N,) in [0, 1]
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        object.__setattr__(self, "points", pts)
-        for name in ("densities", "weights"):
-            arr = getattr(self, name)
-            if arr is None:
-                continue
-            arr = np.asarray(arr, dtype=np.float64).reshape(-1)
-            if len(arr) != len(pts):
-                raise ValueError(f"{name} length must match points")
-            object.__setattr__(self, name, arr)
-        if self.weights is not None and len(self.weights):
-            if self.weights.min() < 0 or self.weights.max() > 1:
-                raise ValueError("weights must lie in [0, 1]")
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    @classmethod
-    def from_raw(cls, raw: RawScan) -> "Scan":
-        return cls(points=raw.points)
-
-
 def _project(points: np.ndarray, spec: CameraSpec, camera_pose: RigidTransform):
     """Pixel indices and depths of points under one camera; nearest pixel.
 
@@ -93,7 +62,7 @@ def _project(points: np.ndarray, spec: CameraSpec, camera_pose: RigidTransform):
 
 
 def fuse_densities(
-    scan: RawScan | Scan,
+    scan: Scan,
     images: Sequence[tuple[DensityImage, CameraSpec, RigidTransform]],
     cfg: FusionConfig = FusionConfig(),
 ) -> tuple[Scan, int]:
@@ -151,7 +120,8 @@ def weights_binary(scan: Scan, delta: float = 0.5) -> Scan:
 
 def weights_linear(scan: Scan, delta_prime: float = 0.1) -> Scan:
     """Continuous weighting: w = max(0, a * d - delta') with the
-    normalization a = (1 + delta') / max(d), so max(w) == 1 exactly.
+    normalization a = (1 + delta') / max(d), so max(w) == 1 exactly and
+    w == 0 exactly for d <= delta' * max(d) / (1 + delta') (within 1e-15 max(d)).
 
     All points are retained; low-density points just lose influence.
     """
@@ -164,38 +134,8 @@ def weights_linear(scan: Scan, delta_prime: float = 0.1) -> Scan:
         raise DegenerateDensitiesError("max density must be > 0 to normalize")
     a = (1.0 + delta_prime) / d_max
     w = np.maximum(0.0, a * scan.densities - delta_prime)
+    # at the cutoff itself a * d - delta' rounds to a few ulp instead of 0
+    cutoff = delta_prime * d_max / (1.0 + delta_prime)
+    w[scan.densities <= cutoff + 1e-15 * d_max] = 0.0
     w[scan.densities == d_max] = 1.0  # exact unit weight at the maximum
     return Scan(points=scan.points, densities=scan.densities, weights=w)
-
-
-def write_fused_csv(scan: Scan, path) -> None:
-    """Write `x,y,z,d,w` rows; missing densities/weights are written as nan."""
-    d = scan.densities if scan.densities is not None else np.full(len(scan), np.nan)
-    w = scan.weights if scan.weights is not None else np.full(len(scan), np.nan)
-    with open(path, "w") as f:
-        f.write("x,y,z,d,w\n")
-        for p, di, wi in zip(scan.points, d, w):
-            f.write(f"{p[0]:.9f},{p[1]:.9f},{p[2]:.9f},{di:.9f},{wi:.9f}\n")
-
-
-def read_fused_csv(path) -> Scan:
-    rows = []
-    with open(path) as f:
-        header = f.readline().strip()
-        if header.split(",")[:5] != ["x", "y", "z", "d", "w"]:
-            raise ValueError(f"{path}: expected header x,y,z,d,w")
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 fields")
-            try:
-                rows.append([float(x) for x in parts])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric field") from None
-    arr = np.array(rows) if rows else np.zeros((0, 5))
-    densities = arr[:, 3] if len(arr) and not np.all(np.isnan(arr[:, 3])) else None
-    weights = arr[:, 4] if len(arr) and not np.all(np.isnan(arr[:, 4])) else None
-    return Scan(points=arr[:, :3], densities=densities, weights=weights)

@@ -24,9 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .fusion import Scan, weights_binary, weights_linear
+from .fusion import weights_binary, weights_linear
 from .geometry import RigidTransform, compose, pose_delta, rotvec_to_matrix
 from .model import MapCloud
+from .sensor_sim import Scan
 
 KERNELS = ("squared", "huber")
 

@@ -5,6 +5,7 @@ moving actors.
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -167,20 +168,31 @@ class Scene:
 
 
 @dataclass(frozen=True)
-class RawScan:
-    """One LiDAR sweep in the sensor frame with ground-truth point classes."""
+class Scan:
+    """One LiDAR sweep in the sensor frame with optional per-point data:
+    fused densities and ICP weights in [0, 1], and the simulator's
+    ground-truth classes."""
 
     points: np.ndarray  # (N, 3) sensor frame
-    classes: np.ndarray  # (N,) strings from POINT_CLASSES
-    pose: RigidTransform | None  # ground-truth sensor pose, None if unknown
+    densities: np.ndarray | None = None  # (N,) in [0, 1]
+    weights: np.ndarray | None = None  # (N,) in [0, 1]
+    classes: np.ndarray | None = None  # (N,) strings from POINT_CLASSES
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        cls = np.asarray(self.classes)
-        if len(cls) != len(pts):
-            raise ValueError("points/classes length mismatch")
+        # contiguous copies, not views into the rows of a parsed CSV
+        pts = np.ascontiguousarray(self.points, dtype=np.float64).reshape(-1, 3)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "classes", cls)
+        for name, dtype in (("densities", np.float64), ("weights", np.float64), ("classes", str)):
+            arr = getattr(self, name)
+            if arr is None:
+                continue
+            arr = np.ascontiguousarray(arr, dtype=dtype).reshape(-1)
+            if len(arr) != len(pts):
+                raise ValueError(f"{name} length must match points")
+            object.__setattr__(self, name, arr)
+        if self.weights is not None and len(self.weights):
+            if self.weights.min() < 0 or self.weights.max() > 1:
+                raise ValueError("weights must lie in [0, 1]")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -239,7 +251,7 @@ class TrialFrame:
 
     index: int
     time_s: float
-    scan: RawScan
+    scan: Scan
     images: tuple[DensityImage, ...]
     pose: RigidTransform
     prism: np.ndarray  # (3,) ground-truth prism position
@@ -318,7 +330,7 @@ def raycast_scan(
     spec: LidarSpec,
     time_s: float = 0.0,
     seed=0,
-) -> RawScan:
+) -> Scan:
     """Simulate one LiDAR sweep from `pose` (sensor frame == body frame).
 
     One ray per (ring, azimuth); the nearest triangle hit within max range
@@ -341,8 +353,7 @@ def raycast_scan(
     else:
         hit_idx = np.flatnonzero(hit)
     points = dirs_sensor[hit_idx] * ranges[:, None]
-    classes = np.array(POINT_CLASSES, dtype=object)[codes[tri[hit_idx]]]
-    return RawScan(points=points, classes=classes.astype(str), pose=pose)
+    return Scan(points=points, classes=np.array(POINT_CLASSES)[codes[tri[hit_idx]]])
 
 
 def render_density_image(
@@ -454,38 +465,62 @@ def generate_trial_sequence(
 # ---------------------------------------------------------------------------
 
 
-def write_scan_csv(scan: RawScan, path) -> None:
-    """Write `x,y,z,class` rows (meters, class string)."""
+_SCAN_CSV_ROWS = {
+    "x,y,z,class": np.dtype([("xyz", "f8", 3), ("class", object)]),
+    "x,y,z,d,w": np.dtype([("xyz", "f8", 3), ("d", "f8"), ("w", "f8")]),
+}
+
+
+def write_scan_csv(scan: Scan, path) -> None:
+    """Write `x,y,z,class` rows for a scan with classes and `x,y,z,d,w` rows
+    otherwise (meters; class string or scores, missing ones written as nan)."""
+    if scan.classes is not None:
+        header, tails = "x,y,z,class", [f",{c}\n" for c in scan.classes]
+    else:
+        nan = np.full(len(scan), np.nan)
+        d, w = (nan if a is None else a for a in (scan.densities, scan.weights))
+        header, tails = "x,y,z,d,w", [f",{di:.9f},{wi:.9f}\n" for di, wi in zip(d, w)]
     with open(path, "w") as f:
-        f.write("x,y,z,class\n")
-        for p, c in zip(scan.points, scan.classes):
-            f.write(f"{p[0]:.9f},{p[1]:.9f},{p[2]:.9f},{c}\n")
+        f.write(header + "\n")
+        for p, tail in zip(scan.points, tails):
+            f.write(f"{p[0]:.9f},{p[1]:.9f},{p[2]:.9f}{tail}")
 
 
-def read_scan_csv(path) -> RawScan:
-    """Read a scan CSV; the ground-truth pose is not persisted (None)."""
-    pts, cls = [], []
+def read_scan_csv(path) -> Scan:
+    """Read a scan CSV in the layout its header names; an all-nan density or
+    weight column reads back as None."""
     with open(path) as f:
-        header = f.readline().strip()
-        if header.split(",")[:4] != ["x", "y", "z", "class"]:
-            raise ValueError(f"{path}: expected header x,y,z,class")
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 fields")
-            try:
-                pts.append([float(parts[0]), float(parts[1]), float(parts[2])])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric coordinate") from None
-            cls.append(parts[3])
-    return RawScan(
-        points=np.array(pts) if pts else np.zeros((0, 3)),
-        classes=np.array(cls, dtype=str),
-        pose=None,
-    )
+        header, body = f.readline().strip(), f.read()
+    if header not in _SCAN_CSV_ROWS:
+        raise ValueError(f"{path}: expected header {' or '.join(_SCAN_CSV_ROWS)}")
+    rows = np.zeros(0, dtype=_SCAN_CSV_ROWS[header])
+    if body.strip():  # np.loadtxt warns on input without rows
+        try:
+            rows = np.loadtxt(
+                io.StringIO(body), delimiter=",", dtype=rows.dtype, comments=None, ndmin=1
+            )
+        except ValueError as e:
+            raise _scan_csv_error(path, header, body, e) from None
+    if header == "x,y,z,class":
+        return Scan(rows["xyz"], classes=rows["class"])
+    d, w = (None if np.isnan(rows[c]).all() else rows[c] for c in ("d", "w"))
+    return Scan(rows["xyz"], densities=d, weights=w)
+
+
+def _scan_csv_error(path, header: str, body: str, error: ValueError) -> ValueError:
+    """The first row of `body` that does not parse, as a `path:line:` error."""
+    columns = header.split(",")
+    for lineno, line in enumerate(body.split("\n"), start=2):
+        if not line:  # the only lines np.loadtxt skips
+            continue
+        fields = line.split(",")
+        if len(fields) != len(columns):
+            return ValueError(f"{path}:{lineno}: expected {len(columns)} fields, got {len(fields)}")
+        try:
+            [float(x) for x, c in zip(fields, columns) if c != "class"]
+        except ValueError:
+            return ValueError(f"{path}:{lineno}: non-numeric field")
+    return ValueError(f"{path}: {error}")
 
 
 def write_density_pgm(image: DensityImage, path) -> None:

@@ -10,11 +10,21 @@ from planloc.experiment import (
     ConfigError,
     METHOD_MATRIX,
     assemble_scene,
+    fuse_frame,
     load_config,
     run_matrix,
 )
+from planloc.geometry import compose
 from planloc.model import load_model
-from planloc.sensor_sim import raycast_scan, write_scan_csv
+from planloc.sensor_sim import (
+    Scan,
+    generate_trial_sequence,
+    raycast_scan,
+    read_scan_csv,
+    render_density_image,
+    write_density_pgm,
+    write_scan_csv,
+)
 
 
 def write_room_inputs(tmp_path: Path, side=5.0):
@@ -214,25 +224,29 @@ class TestLocalizeOnce:
         record = json.loads(proc.stdout)
         assert record["outcome"] == "failed"
 
-    def test_filtered_with_density_images(self, tmp_path):
-        from planloc.sensor_sim import render_density_image, write_density_pgm
-        from planloc.geometry import compose
-
-        cfg_path = tiny_config(tmp_path)
-        cfg = load_config(cfg_path)
-        bundle = assemble_scene(cfg)
-        scan = raycast_scan(bundle.scene, cfg.robot_pose, cfg.lidar, seed=1)
-        scan_path = tmp_path / "scan.csv"
-        write_scan_csv(scan, scan_path)
-        image_args = []
-        for i, cam in enumerate(cfg.cameras):
+    def _image_args(self, tmp_path, cfg, bundle, count) -> list[str]:
+        """`--image` arguments for `count` density PGMs of the rig's cameras,
+        repeating the rig's cameras when `count` exceeds the rig."""
+        args = []
+        for i in range(count):
+            cam = cfg.cameras[i % len(cfg.cameras)]
             img = render_density_image(
                 bundle.scene, compose(cfg.robot_pose, cam.extrinsic), cam,
                 cfg.oracle, seed=10 + i,
             )
             p = tmp_path / f"cam{i}.pgm"
             write_density_pgm(img, p)
-            image_args += ["--image", str(p)]
+            args += ["--image", str(p)]
+        return args
+
+    def test_filtered_with_density_images(self, tmp_path):
+        cfg_path = tiny_config(tmp_path)
+        cfg = load_config(cfg_path)
+        bundle = assemble_scene(cfg)
+        scan = raycast_scan(bundle.scene, cfg.robot_pose, cfg.lidar, seed=1)
+        scan_path = tmp_path / "scan.csv"
+        write_scan_csv(scan, scan_path)
+        image_args = self._image_args(tmp_path, cfg, bundle, len(cfg.cameras))
         proc = run_cli(
             "localize-once",
             "--config", str(cfg_path),
@@ -243,3 +257,60 @@ class TestLocalizeOnce:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["outcome"] == "localized"
+
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_image_count_must_match_rig(self, tmp_path, count):
+        cfg_path = tiny_config(tmp_path)
+        cfg = load_config(cfg_path)
+        scan_path = self._scan_file(tmp_path, cfg)
+        image_args = self._image_args(tmp_path, cfg, assemble_scene(cfg), count)
+        proc = run_cli(
+            "localize-once", "--config", str(cfg_path), "--scan", str(scan_path), *image_args
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: got {count} density images for a 3-camera rig")
+
+    def test_fused_scan_localizes_without_images(self, tmp_path):
+        cfg_path = tiny_config(tmp_path)
+        cfg = load_config(cfg_path)
+        frame = generate_trial_sequence(
+            assemble_scene(cfg).scene, cfg.robot_pose, 1, cfg.lidar, cfg.cameras,
+            cfg.prism, cfg.oracle, seed=3,
+        )[0]
+        fused, _ = fuse_frame(frame, cfg)
+        scan_path = tmp_path / "fused.csv"
+        write_scan_csv(fused, scan_path)
+        assert scan_path.read_text().startswith("x,y,z,d,w\n")
+        proc = run_cli(
+            "localize-once",
+            "--config", str(cfg_path),
+            "--scan", str(scan_path),
+            "--icp", "full",
+            "--scan-variant", "weighted",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["outcome"] == "localized"
+
+    @pytest.mark.parametrize(
+        "variant, densities, message",
+        [
+            ("filtered", None, "error: binary weighting needs fused densities"),
+            ("weighted", 0.0, "error: max density must be > 0 to normalize"),
+        ],
+    )
+    def test_density_errors_exit_two(self, tmp_path, variant, densities, message):
+        cfg_path = tiny_config(tmp_path)
+        scan_path = self._scan_file(tmp_path, load_config(cfg_path))
+        if densities is not None:
+            points = read_scan_csv(scan_path).points
+            write_scan_csv(Scan(points, densities=np.full(len(points), densities)), scan_path)
+        proc = run_cli(
+            "localize-once",
+            "--config", str(cfg_path),
+            "--scan", str(scan_path),
+            "--scan-variant", variant,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.strip() == message

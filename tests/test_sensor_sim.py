@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from planloc.sensor_sim import (
     LidarSpec,
     LinearTrajectory,
     PrismSpec,
-    RawScan,
+    Scan,
     Scene,
     default_camera_rig,
     generate_trial_sequence,
@@ -256,23 +258,79 @@ class TestTrialSequence:
 
 class TestFileFormats:
     def test_scan_csv_round_trip(self, tmp_path):
-        scan = RawScan(
+        scan = Scan(
             points=np.array([[1.25, -0.5, 0.125], [2.0, 3.0, -1.0]]),
             classes=np.array(["building", "clutter"]),
-            pose=RigidTransform.identity(),
         )
         path = tmp_path / "scan.csv"
         write_scan_csv(scan, path)
         back = read_scan_csv(path)
         np.testing.assert_allclose(back.points, scan.points, atol=1e-9)
         np.testing.assert_array_equal(back.classes, scan.classes)
-        assert back.pose is None
 
     def test_scan_csv_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,y,z,class\n1,2,zebra,building\n")
         with pytest.raises(ValueError):
             read_scan_csv(path)
+
+    @pytest.mark.parametrize(
+        "scan, text",
+        [
+            (
+                Scan(
+                    points=[[1.25, -0.5, 0.125], [2.0, 3.0, -1.0]],
+                    classes=["building", "actor"],
+                ),
+                "x,y,z,class\n"
+                "1.250000000,-0.500000000,0.125000000,building\n"
+                "2.000000000,3.000000000,-1.000000000,actor\n",
+            ),
+            (
+                Scan(points=[[1.25, -0.5, 0.125], [2.0, 3.0, -1.0]], densities=[0.25, 0.75]),
+                "x,y,z,d,w\n"
+                "1.250000000,-0.500000000,0.125000000,0.250000000,nan\n"
+                "2.000000000,3.000000000,-1.000000000,0.750000000,nan\n",
+            ),
+        ],
+        ids=["classes", "fused"],
+    )
+    def test_scan_csv_bytes(self, tmp_path, scan, text):
+        path = tmp_path / "scan.csv"
+        write_scan_csv(scan, path)
+        assert path.read_bytes() == text.encode()
+        back = read_scan_csv(path)
+        np.testing.assert_array_equal(back.points, scan.points)
+        for name in ("densities", "weights", "classes"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(scan, name))
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("x,y,z,class\n1,2,3,building\n\n4,5,6\n", ":4: expected 4 fields, got 3"),
+            ("x,y,z,class\n1,2,3,building,extra\n", ":2: expected 4 fields, got 5"),
+            ("x,y,z,class\n1,2,3,building\n1,2,zebra,building\n", ":3: non-numeric field"),
+            ("x,y,z,d,w\n1,2,3,0.5,1\n1,2,3,0.5\n", ":3: expected 5 fields, got 4"),
+            ("x,y,z,d,w\n1,2,3,0.5,high\n", ":2: non-numeric field"),
+        ],
+    )
+    def test_scan_csv_errors_name_the_line(self, tmp_path, text, where):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            read_scan_csv(path)
+        assert str(err.value) == f"{path}{where}"
+
+    @pytest.mark.parametrize("header", ["x,y,z,class", "x,y,z,d,w"])
+    def test_header_only_scan_csv_is_empty(self, tmp_path, header):
+        path = tmp_path / "empty.csv"
+        path.write_text(header + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = read_scan_csv(path)
+        assert back.points.shape == (0, 3)
+        assert back.densities is None and back.weights is None
+        assert (back.classes is not None) == (header == "x,y,z,class")
 
     def test_pgm_round_trip_quantization(self, tmp_path):
         rng = np.random.default_rng(0)
