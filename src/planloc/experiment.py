@@ -344,7 +344,9 @@ def run_execution(
     methods: Sequence[tuple[str, str]] = METHOD_MATRIX,
 ) -> dict[tuple[str, str], list[TrialRecord]]:
     """Simulate one execution's trial sequence and localize it under every
-    requested method. Trial seeds are `seed + execution * n_scans + trial`."""
+    requested method. Trial seeds are `seed + execution * n_scans + trial`.
+    Each scan variant X runs one localization per frame: selective × X when
+    requested, else full × X; full × X is the selective run's stage 1."""
     frames = generate_trial_sequence(
         bundle.scene,
         cfg.robot_pose,
@@ -360,9 +362,14 @@ def run_execution(
     records: dict[tuple[str, str], list[TrialRecord]] = {m: [] for m in methods}
     for frame in frames:
         fused_scan = fuse_frame(frame, cfg)[0] if needs_fusion else frame.scan
+        results: dict[tuple[str, str], LocalizationResult] = {}
+        for method in sorted(methods, key=lambda m: m[0] != "selective"):  # selective first
+            if method not in results:
+                scan = frame.scan if method[1] == "full" else fused_scan
+                res = results[method] = localize_frame(scan, bundle, cfg, cfg.initial_pose, method)
+                results[("full", method[1])] = LocalizationResult.from_full_icp(res.full_icp)
         for method in methods:
-            scan = frame.scan if method[1] == "full" else fused_scan
-            result = localize_frame(scan, bundle, cfg, cfg.initial_pose, method)
+            result = results[method]
             est = (
                 prism_position(result.transform, cfg.prism)
                 if result.localized

@@ -173,16 +173,6 @@ def average_executions(reports: Sequence[MetricsReport]) -> MetricsReport:
     )
 
 
-def ground_truth_correction(true_prism: np.ndarray, measured_wall_offset: np.ndarray) -> np.ndarray:
-    """Shift a ground-truth prism position by a measured as-built offset,
-    moving it into the locally referenced frame."""
-    gt = np.asarray(true_prism, dtype=np.float64).reshape(3)
-    off = np.asarray(measured_wall_offset, dtype=np.float64).reshape(3)
-    if not (np.all(np.isfinite(gt)) and np.all(np.isfinite(off))):
-        raise ValueError("inputs must be finite")
-    return gt + off
-
-
 REPORT_HEADER = (
     "icp,scan,pos_max_eig_mm2,pos_trace_mm2,rot_max_eig_mrad2,rot_trace_mrad2,"
     "rmse_mm,failure_pct"

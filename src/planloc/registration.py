@@ -101,6 +101,12 @@ class LocalizationResult:
         if (self.transform is None) == (self.failure_reason is None):
             raise ValueError("exactly one of transform / failure_reason must be set")
 
+    @classmethod
+    def from_full_icp(cls, res: IcpResult) -> LocalizationResult:
+        """The full-map method's outcome: the stage's pose when it converged."""
+        failure = None if res.converged else FailureReason.FULL_ICP_DIVERGED
+        return cls(res.transform if res.converged else None, failure, res, None)
+
     @property
     def localized(self) -> bool:
         return self.transform is not None
@@ -262,7 +268,7 @@ def selective_localize(
     """
     full_res = point_to_plane_icp(scan, full_map, prev, cfg.full_icp)
     if not full_res.converged:
-        return LocalizationResult(None, FailureReason.FULL_ICP_DIVERGED, full_res, None)
+        return LocalizationResult.from_full_icp(full_res)
     sel_res = point_to_plane_icp(scan, ref_map, full_res.transform, cfg.selective_icp)
     if not sel_res.converged:
         reason = (
@@ -309,17 +315,15 @@ def localize(
         raise ValueError(f"unknown method tuple {method!r}")
     if len(scan) == 0:
         # nothing to weight or match; report it as a failed first stage
-        empty = IcpResult(prev, False, 0, 0.0, 0)
-        return LocalizationResult(None, FailureReason.FULL_ICP_DIVERGED, empty, None)
+        return LocalizationResult.from_full_icp(IcpResult(prev, False, 0, 0.0, 0))
     if scan_method == "filtered":
         scan = weights_binary(scan, delta)
     elif scan_method == "weighted":
         scan = weights_linear(scan, delta_prime)
     if icp_method == "full":
-        res = point_to_plane_icp(scan, full_map, prev, cfg.full_icp)
-        if res.converged:
-            return LocalizationResult(res.transform, None, res, None)
-        return LocalizationResult(None, FailureReason.FULL_ICP_DIVERGED, res, None)
+        return LocalizationResult.from_full_icp(
+            point_to_plane_icp(scan, full_map, prev, cfg.full_icp)
+        )
     if ref_map is None:
         raise ValueError("selective localization needs a reference map")
     return selective_localize(scan, full_map, ref_map, prev, cfg)

@@ -473,17 +473,18 @@ _SCAN_CSV_ROWS = {
 
 def write_scan_csv(scan: Scan, path) -> None:
     """Write `x,y,z,class` rows for a scan with classes and `x,y,z,d,w` rows
-    otherwise (meters; class string or scores, missing ones written as nan)."""
+    otherwise (meters; class string or scores, missing ones written as nan).
+    A scan with both classes and scores has no layout and is refused."""
     if scan.classes is not None:
-        header, tails = "x,y,z,class", [f",{c}\n" for c in scan.classes]
+        if scan.densities is not None or scan.weights is not None:
+            raise ValueError("a scan CSV holds classes or densities/weights, not both")
+        header, template, tails = "x,y,z,class", "%.9f,%.9f,%.9f,%s", [scan.classes]
     else:
         nan = np.full(len(scan), np.nan)
-        d, w = (nan if a is None else a for a in (scan.densities, scan.weights))
-        header, tails = "x,y,z,d,w", [f",{di:.9f},{wi:.9f}\n" for di, wi in zip(d, w)]
-    with open(path, "w") as f:
-        f.write(header + "\n")
-        for p, tail in zip(scan.points, tails):
-            f.write(f"{p[0]:.9f},{p[1]:.9f},{p[2]:.9f}{tail}")
+        tails = [nan if a is None else a for a in (scan.densities, scan.weights)]
+        header, template = "x,y,z,d,w", "%.9f,%.9f,%.9f,%.9f,%.9f"
+    rows = zip(*scan.points.T.tolist(), *(a.tolist() for a in tails))
+    Path(path).write_text("\n".join([header, *(template % row for row in rows)]) + "\n")
 
 
 def read_scan_csv(path) -> Scan:

@@ -12,10 +12,13 @@ from planloc.experiment import (
     assemble_scene,
     fuse_frame,
     load_config,
+    run_execution,
     run_matrix,
 )
+from planloc import registration
 from planloc.geometry import compose
 from planloc.model import load_model
+from planloc.registration import SCAN_METHODS, localize
 from planloc.sensor_sim import (
     Scan,
     generate_trial_sequence,
@@ -174,6 +177,72 @@ class TestRunMatrix:
         csv_a, _ = run_matrix(cfg_a)
         csv_b, _ = run_matrix(cfg_b)
         assert csv_a.read_bytes() != csv_b.read_bytes()
+
+
+class TestSharedStage:
+    """full × X is taken from the full-map stage of the selective × X run."""
+
+    @staticmethod
+    def _count_calls(monkeypatch, names) -> dict:
+        counts = dict.fromkeys(names, 0)
+        for name in names:
+            original = getattr(registration, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(registration, name, counted)
+        return counts
+
+    @pytest.mark.parametrize(
+        "extra", [{}, {"initial_pose": {"translation": [50.0, 50.0, 0.45]}}],
+        ids=["localized", "full_icp_diverged"],
+    )
+    def test_full_records_equal_direct_localization(self, tmp_path, extra):
+        cfg = load_config(tiny_config(tmp_path, n_scans=1, **extra))
+        bundle = assemble_scene(cfg)
+        records = run_execution(bundle, cfg, 0)
+        frame = generate_trial_sequence(
+            bundle.scene, cfg.robot_pose, 1, cfg.lidar, cfg.cameras, cfg.prism,
+            cfg.oracle, seed=cfg.seed, period_s=cfg.scan_period_s,
+        )[0]
+        fused = fuse_frame(frame, cfg)[0]
+        for scan_method in SCAN_METHODS:
+            scan = frame.scan if scan_method == "full" else fused
+            direct = localize(
+                scan, bundle.full_map, bundle.ref_map, cfg.initial_pose,
+                ("full", scan_method), cfg.delta, cfg.delta_prime, cfg.selective,
+            )
+            (shared,) = (rec.result for rec in records[("full", scan_method)])
+            assert shared.localized == direct.localized == (not extra)
+            if direct.localized:
+                for part in ("rotation", "translation"):
+                    got = getattr(shared.transform, part).tobytes()
+                    assert got == getattr(direct.transform, part).tobytes()
+            assert shared.failure_reason == direct.failure_reason
+            assert shared.selective_icp is None
+            for field in ("iterations", "residual_rms_m", "correspondences"):
+                assert getattr(shared.full_icp, field) == getattr(direct.full_icp, field)
+
+    def test_matrix_runs_six_icp_and_two_weightings_per_frame(self, tmp_path, monkeypatch):
+        cfg = load_config(tiny_config(tmp_path, n_scans=2))
+        bundle = assemble_scene(cfg)
+        counts = self._count_calls(
+            monkeypatch, ("point_to_plane_icp", "weights_binary", "weights_linear")
+        )
+        records = run_execution(bundle, cfg, 0, methods=METHOD_MATRIX)
+        assert all(r.result.localized for recs in records.values() for r in recs)
+        assert counts == {"point_to_plane_icp": 12, "weights_binary": 2, "weights_linear": 2}
+
+    def test_full_method_alone_runs_one_icp_per_frame(self, tmp_path, monkeypatch):
+        cfg = load_config(tiny_config(tmp_path, n_scans=2))
+        bundle = assemble_scene(cfg)
+        counts = self._count_calls(monkeypatch, ("point_to_plane_icp", "selective_localize"))
+        records = run_execution(bundle, cfg, 0, methods=[("full", "filtered")])
+        assert list(records) == [("full", "filtered")]
+        assert len(records[("full", "filtered")]) == 2
+        assert counts == {"point_to_plane_icp": 2, "selective_localize": 0}
 
 
 class TestLocalizeOnce:

@@ -12,7 +12,6 @@ from planloc.metrics import (
     compute_report,
     failure_rate,
     format_report_row,
-    ground_truth_correction,
     position_repeatability,
     rotation_repeatability,
     write_report_csv,
@@ -245,24 +244,6 @@ class TestAveraging:
     def test_empty_rejected(self):
         with pytest.raises(InsufficientSamplesError):
             average_executions([])
-
-
-class TestGroundTruthCorrection:
-    def test_zero_offset(self):
-        np.testing.assert_array_equal(
-            ground_truth_correction([1, 1, 0], [0, 0, 0]), [1, 1, 0]
-        )
-
-    def test_shift(self):
-        np.testing.assert_allclose(
-            ground_truth_correction([1, 1, 0], [0.3, 0, 0]), [1.3, 1, 0], atol=0
-        )
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(5)
-        gt, off = rng.normal(size=3), rng.normal(size=3)
-        back = ground_truth_correction(ground_truth_correction(gt, off), -off)
-        np.testing.assert_allclose(back, gt, atol=1e-15)
 
 
 class TestReportOutput:

@@ -305,6 +305,18 @@ class TestFileFormats:
             np.testing.assert_array_equal(getattr(back, name), getattr(scan, name))
 
     @pytest.mark.parametrize(
+        "scores",
+        [{"densities": [0.5], "weights": [1.0]}, {"densities": [0.5]}, {"weights": [1.0]}],
+        ids=["both", "densities", "weights"],
+    )
+    def test_scan_csv_refuses_classes_with_scores(self, tmp_path, scores):
+        scan = Scan([[1.0, 2.0, 3.0]], classes=["building"], **scores)
+        path = tmp_path / "scan.csv"
+        with pytest.raises(ValueError, match="classes or densities/weights"):
+            write_scan_csv(scan, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
         "text, where",
         [
             ("x,y,z,class\n1,2,3,building\n\n4,5,6\n", ":4: expected 4 fields, got 3"),
