@@ -9,11 +9,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import experiment
 from .experiment import ConfigError, load_config
-from .geometry import RigidTransform
 from .model import ModelError
 from .registration import result_record
 from .sensor_sim import read_density_pgm, read_scan_csv
@@ -41,15 +39,6 @@ def _overrides(args: argparse.Namespace) -> dict:
     return {k: v for k, v in mapping.items() if v is not None}
 
 
-def _load_init_pose(path: str) -> RigidTransform:
-    doc = json.loads(Path(path).read_text())
-    if "r" in doc and "t" in doc:
-        import numpy as np
-
-        return RigidTransform(np.array(doc["r"]).reshape(3, 3), doc["t"])
-    return experiment._pose_from_obj(doc, path)
-
-
 def cmd_build_scene(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, _overrides(args))
     paths = experiment.build_scene_files(cfg)
@@ -72,7 +61,7 @@ def cmd_localize_once(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, _overrides(args))
     scan = read_scan_csv(args.scan)
     images = [read_density_pgm(p) for p in args.image or []]
-    init = _load_init_pose(args.init_pose) if args.init_pose else cfg.initial_pose
+    init = experiment.load_pose(args.init_pose) if args.init_pose else cfg.initial_pose
     result = experiment.localize_once(
         cfg, scan, images, init, (args.icp, args.scan_variant)
     )

@@ -1,6 +1,6 @@
-"""Experiment orchestration: configuration loading, scene construction, the
-2x3 (icp x scan) method matrix over stationary trial sequences, and report
-emission.
+"""Experiment orchestration: configuration loading (with the plan, reference
+set and as-built scene a config names), map building, the 2x3 (icp x scan)
+method matrix over stationary trial sequences, and report emission.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .metrics import (
 from .model import (
     BuildingModel,
     Deviation,
+    ModelError,
     ReferenceSet,
     apply_deviation,
     extrude_floorplan,
@@ -56,7 +57,7 @@ from .sensor_sim import (
     Scene,
     TrialFrame,
     default_camera_rig,
-    generate_trial_sequence,
+    iter_trial_sequence,
     prism_position,
 )
 
@@ -69,6 +70,28 @@ class ConfigError(Exception):
     """Configuration problem; the message names the file and field."""
 
 
+def _checked(path: Path, parse):
+    """`parse(path)`; an input error it raises becomes a ConfigError naming
+    `path`, and a missing key becomes "missing required field"."""
+    try:
+        return parse(path)
+    except KeyError as e:
+        raise ConfigError(f"{path}: missing required field {e}") from e
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{path}: invalid JSON: {e}") from e
+    except OSError as e:
+        raise ConfigError(f"{path}: cannot read: {e.strerror or e}") from e
+    except (AttributeError, TypeError, ValueError, ModelError) as e:
+        raise ConfigError(f"{path}: {e}") from e
+
+
+def _json_object(path: Path) -> dict:
+    doc = json.loads(path.read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"must hold a JSON object, not {type(doc).__name__}")
+    return doc
+
+
 def _pose_from_obj(obj: dict, where: str) -> RigidTransform:
     translation = obj.get("translation", [0.0, 0.0, 0.0])
     if "quaternion" in obj and "yaw_deg" in obj:
@@ -79,15 +102,28 @@ def _pose_from_obj(obj: dict, where: str) -> RigidTransform:
     return RigidTransform.from_rotvec([0.0, 0.0, yaw], translation)
 
 
+def load_pose(path) -> RigidTransform:
+    """Read a pose file: `{"r": 3x3 rows, "t": [x, y, z]}` or a config pose
+    (`translation` plus `yaw_deg` or `quaternion`)."""
+    return _checked(Path(path), _parse_pose)
+
+
+def _parse_pose(path: Path) -> RigidTransform:
+    doc = _json_object(path)
+    if "r" in doc and "t" in doc:
+        return RigidTransform(np.array(doc["r"]).reshape(3, 3), doc["t"])
+    return _pose_from_obj(doc, str(path))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one experiment needs, loadable from a single JSON file."""
+    """Everything one experiment needs, loadable from a single JSON file:
+    the as-planned model, its validated reference set and the as-built scene
+    (deviated building, clutter, actors), plus sensor and solver settings."""
 
-    floorplan_path: Path
-    references_path: Path
-    deviations: tuple[Deviation, ...]
-    clutter_defs: tuple[dict, ...]
-    actor_defs: tuple[dict, ...]
+    plan: BuildingModel
+    references: ReferenceSet
+    scene: Scene
     lidar: LidarSpec
     cameras: tuple[CameraSpec, ...]
     prism: PrismSpec
@@ -107,145 +143,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.n_scans < 1 or self.n_executions < 1:
-            raise ConfigError("n_scans and n_executions must be >= 1")
-
-
-def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
-    """Load a schema-1 experiment config; relative paths resolve against the
-    config file's directory. `overrides` may replace scalar knobs
-    (seed, out_dir, delta, delta_prime, tau_trans, tau_rot)."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as e:
-        raise ConfigError(f"{path}: cannot read config: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: invalid JSON: {e}") from e
-    if doc.get("schema") != 1:
-        raise ConfigError(f"{path}: field 'schema' must be 1")
-    overrides = overrides or {}
-    base = path.parent
-
-    def need(key: str):
-        if key not in doc:
-            raise ConfigError(f"{path}: missing required field '{key}'")
-        return doc[key]
-
-    try:
-        lidar_doc = doc.get("lidar", {})
-        rings = lidar_doc.get("rings", 16)
-        lidar = LidarSpec(
-            ring_elevations_deg=tuple(
-                np.linspace(
-                    lidar_doc.get("elevation_min_deg", -15.0),
-                    lidar_doc.get("elevation_max_deg", 15.0),
-                    rings,
-                )
-            ),
-            azimuth_step_deg=lidar_doc.get("azimuth_step_deg", 0.4),
-            max_range_m=lidar_doc.get("max_range_m", 50.0),
-            range_noise_m=lidar_doc.get("range_noise_m", 0.01),
-        )
-        cam_doc = doc.get("cameras", {})
-        cameras = default_camera_rig(
-            count=cam_doc.get("count", 3),
-            width=cam_doc.get("width", 160),
-            height=cam_doc.get("height", 120),
-            hfov_deg=cam_doc.get("hfov_deg", 110.0),
-            mount=cam_doc.get("mount", (0.0, 0.0, 0.25)),
-        )
-        oracle_doc = doc.get("density_oracle", {})
-        corrupt = oracle_doc.get("corrupt_surfaces")
-        oracle = DensityOracleParams(
-            mu_background=oracle_doc.get("mu_bg", 0.8),
-            mu_foreground=oracle_doc.get("mu_fg", 0.2),
-            sigma=oracle_doc.get("sigma", 0.1),
-            corruption_rate=oracle_doc.get("rho", 0.05),
-            corrupt_surface_ids=tuple(corrupt) if corrupt else None,
-        )
-        fusion_doc = doc.get("fusion", {})
-        fusion = FusionConfig(
-            rule=fusion_doc.get("rule", "max"),
-            occlusion_check=fusion_doc.get("occlusion_check", False),
-        )
-        delta = float(overrides.get("delta", fusion_doc.get("delta", 0.5)))
-        delta_prime = float(overrides.get("delta_prime", fusion_doc.get("delta_prime", 0.1)))
-        def icp_from(doc_section: dict) -> IcpConfig:
-            return IcpConfig(
-                max_iterations=doc_section.get("max_iterations", 50),
-                max_correspondence_m=doc_section.get("max_correspondence_m", 0.5),
-                translation_eps_m=doc_section.get("translation_eps_m", 1e-4),
-                rotation_eps_rad=doc_section.get("rotation_eps_rad", 1e-5),
-                kernel=doc_section.get("kernel", "huber"),
-                huber_scale_m=doc_section.get("huber_scale_m", 0.05),
-                min_correspondences=doc_section.get("min_correspondences", 30),
-            )
-
-        icp_doc = doc.get("icp", {})
-        icp = icp_from(icp_doc)
-        sel_doc = doc.get("selective", {})
-        # the selective stage may override solver knobs (tighter gate etc.)
-        selective = SelectiveConfig(
-            tau_translation_m=float(
-                overrides.get("tau_trans", sel_doc.get("tau_trans_m", 0.15))
-            ),
-            tau_rotation_rad=float(
-                overrides.get("tau_rot", sel_doc.get("tau_rot_rad", 0.05))
-            ),
-            full_icp=icp,
-            selective_icp=icp_from({**icp_doc, **sel_doc.get("icp", {})}),
-        )
-        deviations = tuple(
-            Deviation(
-                surface_ids=tuple(d["surfaces"]),
-                offset=_pose_from_obj(d, f"{path}: deviation[{i}]"),
-            )
-            for i, d in enumerate(doc.get("deviation", []))
-        )
-        robot_pose = _pose_from_obj(need("robot_pose"), f"{path}: robot_pose")
-        initial_pose = (
-            _pose_from_obj(doc["initial_pose"], f"{path}: initial_pose")
-            if "initial_pose" in doc
-            else robot_pose
-        )
-        prism = PrismSpec(offset=np.asarray(doc.get("prism", {}).get("offset", [0.0, 0.0, 0.3])))
-        return ExperimentConfig(
-            floorplan_path=(base / need("floorplan")).resolve(),
-            references_path=(base / need("references")).resolve(),
-            deviations=deviations,
-            clutter_defs=tuple(doc.get("clutter", [])),
-            actor_defs=tuple(doc.get("actors", [])),
-            lidar=lidar,
-            cameras=cameras,
-            prism=prism,
-            oracle=oracle,
-            fusion=fusion,
-            delta=delta,
-            delta_prime=delta_prime,
-            selective=selective,
-            map_density_per_m2=float(doc.get("map_density_per_m2", 400.0)),
-            robot_pose=robot_pose,
-            initial_pose=initial_pose,
-            n_scans=int(doc.get("n_scans", 300)),
-            n_executions=int(doc.get("n_executions", 3)),
-            seed=int(overrides.get("seed", doc.get("seed", 0))),
-            out_dir=Path(overrides.get("out_dir", base / doc.get("out_dir", "out"))),
-            scan_period_s=float(doc.get("scan_period_s", 0.2)),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"{path}: {e}") from e
-
-
-@dataclass(frozen=True)
-class SceneBundle:
-    """Everything run-time localization needs, assembled from one config."""
-
-    as_planned: BuildingModel
-    as_built: BuildingModel
-    references: ReferenceSet
-    scene: Scene
-    full_map: MapIndex
-    ref_map: MapIndex
+            raise ValueError("n_scans and n_executions must be >= 1")
 
 
 def _clutter_surface(defn: dict):
@@ -257,25 +155,149 @@ def _clutter_surface(defn: dict):
     )
 
 
-def assemble_scene(cfg: ExperimentConfig) -> SceneBundle:
-    """Extrude the plan, inject deviations, attach clutter/actors, and build
-    the nearest-neighbor maps from the as-planned model."""
-    plan = extrude_floorplan(load_floorplan(cfg.floorplan_path))
-    refs = validate_reference_set(plan, load_reference_set(cfg.references_path))
-    as_built = apply_deviation(plan, cfg.deviations)
-    clutter = tuple(_clutter_surface(d) for d in cfg.clutter_defs)
-    actors = tuple(
-        Actor(
-            surface=_clutter_surface(d),
-            trajectory=LinearTrajectory(tuple(d.get("velocity", (0.0, 0.0, 0.0)))),
-        )
-        for d in cfg.actor_defs
+def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
+    """Load a schema-1 experiment config with the plan, reference set and
+    as-built scene it names; relative paths resolve against the config
+    file's directory. `overrides` may replace scalar knobs (seed, out_dir,
+    delta, delta_prime, tau_trans, tau_rot). A malformed config, floorplan
+    or reference set raises ConfigError naming that file."""
+    return _checked(Path(path), lambda path: _parse_config(path, overrides or {}))
+
+
+def _parse_config(path: Path, overrides: dict) -> ExperimentConfig:
+    doc = _json_object(path)
+    if doc.get("schema") != 1:
+        raise ConfigError(f"{path}: field 'schema' must be 1")
+    base = path.parent
+    lidar_doc = doc.get("lidar", {})
+    rings = lidar_doc.get("rings", 16)
+    lidar = LidarSpec(
+        ring_elevations_deg=tuple(
+            np.linspace(
+                lidar_doc.get("elevation_min_deg", -15.0),
+                lidar_doc.get("elevation_max_deg", 15.0),
+                rings,
+            )
+        ),
+        azimuth_step_deg=lidar_doc.get("azimuth_step_deg", 0.4),
+        max_range_m=lidar_doc.get("max_range_m", 50.0),
+        range_noise_m=lidar_doc.get("range_noise_m", 0.01),
     )
-    scene = Scene(as_built=as_built, clutter=clutter, actors=actors)
-    cloud = sample_model(plan, cfg.map_density_per_m2, seed=cfg.seed)
-    full_map = MapIndex(cloud)
-    ref_map = MapIndex(cloud.subset(refs.surface_ids))
-    return SceneBundle(plan, as_built, refs, scene, full_map, ref_map)
+    cam_doc = doc.get("cameras", {})
+    cameras = default_camera_rig(
+        count=cam_doc.get("count", 3),
+        width=cam_doc.get("width", 160),
+        height=cam_doc.get("height", 120),
+        hfov_deg=cam_doc.get("hfov_deg", 110.0),
+        mount=cam_doc.get("mount", (0.0, 0.0, 0.25)),
+    )
+    oracle_doc = doc.get("density_oracle", {})
+    corrupt = oracle_doc.get("corrupt_surfaces")
+    oracle = DensityOracleParams(
+        mu_background=oracle_doc.get("mu_bg", 0.8),
+        mu_foreground=oracle_doc.get("mu_fg", 0.2),
+        sigma=oracle_doc.get("sigma", 0.1),
+        corruption_rate=oracle_doc.get("rho", 0.05),
+        corrupt_surface_ids=tuple(corrupt) if corrupt else None,
+    )
+    fusion_doc = doc.get("fusion", {})
+    fusion = FusionConfig(rule=fusion_doc.get("rule", "max"))
+    delta = float(overrides.get("delta", fusion_doc.get("delta", 0.5)))
+    delta_prime = float(overrides.get("delta_prime", fusion_doc.get("delta_prime", 0.1)))
+    def icp_from(doc_section: dict) -> IcpConfig:
+        return IcpConfig(
+            max_iterations=doc_section.get("max_iterations", 50),
+            max_correspondence_m=doc_section.get("max_correspondence_m", 0.5),
+            translation_eps_m=doc_section.get("translation_eps_m", 1e-4),
+            rotation_eps_rad=doc_section.get("rotation_eps_rad", 1e-5),
+            kernel=doc_section.get("kernel", "huber"),
+            huber_scale_m=doc_section.get("huber_scale_m", 0.05),
+            min_correspondences=doc_section.get("min_correspondences", 30),
+        )
+
+    icp_doc = doc.get("icp", {})
+    icp = icp_from(icp_doc)
+    sel_doc = doc.get("selective", {})
+    # the selective stage may override solver knobs (tighter gate etc.)
+    selective = SelectiveConfig(
+        tau_translation_m=float(
+            overrides.get("tau_trans", sel_doc.get("tau_trans_m", 0.15))
+        ),
+        tau_rotation_rad=float(
+            overrides.get("tau_rot", sel_doc.get("tau_rot_rad", 0.05))
+        ),
+        full_icp=icp,
+        selective_icp=icp_from({**icp_doc, **sel_doc.get("icp", {})}),
+    )
+    plan = _checked(base / doc["floorplan"], lambda p: extrude_floorplan(load_floorplan(p)))
+    references = _checked(
+        base / doc["references"],
+        lambda p: validate_reference_set(plan, load_reference_set(p)),
+    )
+    deviations = tuple(
+        Deviation(
+            surface_ids=tuple(d["surfaces"]),
+            offset=_pose_from_obj(d, f"{path}: deviation[{i}]"),
+        )
+        for i, d in enumerate(doc.get("deviation", []))
+    )
+    scene = Scene(
+        as_built=apply_deviation(plan, deviations),
+        clutter=tuple(_clutter_surface(d) for d in doc.get("clutter", [])),
+        actors=tuple(
+            Actor(
+                surface=_clutter_surface(d),
+                trajectory=LinearTrajectory(tuple(d.get("velocity", (0.0, 0.0, 0.0)))),
+            )
+            for d in doc.get("actors", [])
+        ),
+    )
+    robot_pose = _pose_from_obj(doc["robot_pose"], f"{path}: robot_pose")
+    initial_pose = (
+        _pose_from_obj(doc["initial_pose"], f"{path}: initial_pose")
+        if "initial_pose" in doc
+        else robot_pose
+    )
+    prism = PrismSpec(offset=np.asarray(doc.get("prism", {}).get("offset", [0.0, 0.0, 0.3])))
+    return ExperimentConfig(
+        plan=plan,
+        references=references,
+        scene=scene,
+        lidar=lidar,
+        cameras=cameras,
+        prism=prism,
+        oracle=oracle,
+        fusion=fusion,
+        delta=delta,
+        delta_prime=delta_prime,
+        selective=selective,
+        map_density_per_m2=float(doc.get("map_density_per_m2", 400.0)),
+        robot_pose=robot_pose,
+        initial_pose=initial_pose,
+        n_scans=int(doc.get("n_scans", 300)),
+        n_executions=int(doc.get("n_executions", 3)),
+        seed=int(overrides.get("seed", doc.get("seed", 0))),
+        out_dir=Path(overrides.get("out_dir", base / doc.get("out_dir", "out"))),
+        scan_period_s=float(doc.get("scan_period_s", 0.2)),
+    )
+
+
+@dataclass(frozen=True)
+class SceneBundle:
+    """The as-built scene and the nearest-neighbor maps of the as-planned
+    model (all surfaces, and the reference surfaces alone)."""
+
+    scene: Scene
+    full_map: MapIndex
+    ref_map: MapIndex
+
+
+def assemble_scene(cfg: ExperimentConfig) -> SceneBundle:
+    """Sample the config's as-planned model and index the full and the
+    reference map."""
+    cloud = sample_model(cfg.plan, cfg.map_density_per_m2, seed=cfg.seed)
+    ref_map = MapIndex(cloud.subset(cfg.references.surface_ids))
+    return SceneBundle(cfg.scene, MapIndex(cloud), ref_map)
 
 
 # ---------------------------------------------------------------------------
@@ -285,21 +307,19 @@ def assemble_scene(cfg: ExperimentConfig) -> SceneBundle:
 
 def build_scene_files(cfg: ExperimentConfig) -> list[Path]:
     """Write as-planned, as-built, and reference meshes; returns the paths."""
-    bundle = assemble_scene(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / "as_planned.obj", out / "as_built.obj", out / "references.obj"]
-    save_model(bundle.as_planned, paths[0])
-    save_model(bundle.as_built, paths[1])
-    save_model(bundle.as_planned.subset(bundle.references.surface_ids), paths[2])
+    save_model(cfg.plan, paths[0])
+    save_model(cfg.scene.as_built, paths[1])
+    save_model(cfg.plan.subset(cfg.references.surface_ids), paths[2])
     return paths
 
 
 def scene_inventory(cfg: ExperimentConfig) -> list[str]:
-    bundle = assemble_scene(cfg)
     lines = [f"{'surface':<16} {'triangles':>9} {'area_m2':>9} {'reference':>9}"]
-    for s in bundle.as_planned.surfaces:
-        is_ref = "yes" if s.id in bundle.references.surface_ids else ""
+    for s in cfg.plan.surfaces:
+        is_ref = "yes" if s.id in cfg.references.surface_ids else ""
         lines.append(f"{s.id:<16} {len(s.triangles):>9d} {s.area:>9.2f} {is_ref:>9}")
     return lines
 
@@ -344,10 +364,10 @@ def run_execution(
     methods: Sequence[tuple[str, str]] = METHOD_MATRIX,
 ) -> dict[tuple[str, str], list[TrialRecord]]:
     """Simulate one execution's trial sequence and localize it under every
-    requested method. Trial seeds are `seed + execution * n_scans + trial`.
+    requested method, one frame at a time. Trial seeds are `seed + execution * n_scans + trial`.
     Each scan variant X runs one localization per frame: selective × X when
     requested, else full × X; full × X is the selective run's stage 1."""
-    frames = generate_trial_sequence(
+    frames = iter_trial_sequence(
         bundle.scene,
         cfg.robot_pose,
         cfg.n_scans,

@@ -36,8 +36,6 @@ class FusionConfig:
     """How scores from multiple covering cameras are combined."""
 
     rule: str = "max"
-    occlusion_check: bool = False
-    occlusion_tolerance_m: float = 0.05
 
     def __post_init__(self):
         if self.rule not in COMBINE_RULES:
@@ -45,10 +43,10 @@ class FusionConfig:
 
 
 def _project(points: np.ndarray, spec: CameraSpec, camera_pose: RigidTransform):
-    """Pixel indices and depths of points under one camera; nearest pixel.
+    """Pixel indices of points under one camera; nearest pixel.
 
-    Returns (covered (N,), iu (N,), iv (N,), z (N,)). `camera_pose` maps
-    camera coordinates into the scan frame.
+    Returns (covered (N,), iu (N,), iv (N,)). `camera_pose` maps camera
+    coordinates into the scan frame.
     """
     cam_from_scan = invert(camera_pose)
     p = cam_from_scan.apply(points)
@@ -58,7 +56,7 @@ def _project(points: np.ndarray, spec: CameraSpec, camera_pose: RigidTransform):
     iu = np.rint(spec.fx * p[:, 0] / zsafe + spec.cx).astype(np.int64)
     iv = np.rint(spec.fy * p[:, 1] / zsafe + spec.cy).astype(np.int64)
     covered = in_front & (iu >= 0) & (iu < spec.width) & (iv >= 0) & (iv < spec.height)
-    return covered, iu, iv, z
+    return covered, iu, iv
 
 
 def fuse_densities(
@@ -82,13 +80,7 @@ def fuse_densities(
     for image, spec, camera_pose in images:
         if image.values.shape != (spec.height, spec.width):
             raise ValueError("density image resolution does not match its camera spec")
-        covered, iu, iv, z = _project(points, spec, camera_pose)
-        if cfg.occlusion_check:
-            if image.depth is None:
-                raise ValueError("occlusion check requires images with a depth buffer")
-            idx = np.flatnonzero(covered)
-            buf = image.depth[iv[idx], iu[idx]]
-            covered[idx] &= z[idx] <= buf + cfg.occlusion_tolerance_m
+        covered, iu, iv = _project(points, spec, camera_pose)
         idx = np.flatnonzero(covered)
         d = image.values[iv[idx], iu[idx]]
         if cfg.rule == "max":

@@ -578,7 +578,7 @@ def load_reference_set(path) -> ReferenceSet:
     """Read a JSON list of surface id strings."""
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, list) or not all(isinstance(x, str) for x in doc):
-        raise ValueError(f"{path}: reference set file must be a JSON list of strings")
+        raise ValueError("reference set file must be a JSON list of strings")
     return ReferenceSet(tuple(doc))
 
 

@@ -9,7 +9,7 @@ import io
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -200,8 +200,9 @@ class Scan:
 
 @dataclass(frozen=True)
 class DensityImage:
-    """Per-pixel structure score in [0, 1]; optionally carries the z-depth
-    buffer of the render for occlusion checks (not persisted to PGM)."""
+    """Per-pixel structure score in [0, 1]; a rendered image also carries its
+    z-depth buffer (inf where the pixel's ray hit nothing), which PGM files
+    do not store."""
 
     values: np.ndarray  # (h, w) float in [0, 1]
     depth: np.ndarray | None = None  # (h, w) z-depth, inf on miss
@@ -416,7 +417,7 @@ def prism_position(robot_pose: RigidTransform, prism: PrismSpec) -> np.ndarray:
     return robot_pose.apply(prism.offset)
 
 
-def generate_trial_sequence(
+def iter_trial_sequence(
     scene: Scene,
     robot_pose: RigidTransform,
     n_scans: int,
@@ -426,8 +427,9 @@ def generate_trial_sequence(
     oracle: DensityOracleParams,
     seed: int = 0,
     period_s: float = 0.2,
-) -> list[TrialFrame]:
-    """Simulate a stationary sequence of independent noisy scans plus images.
+) -> Iterator[TrialFrame]:
+    """Simulate a stationary sequence of independent noisy scans plus images,
+    one frame per step, so a caller need not hold the whole sequence.
 
     Trial i uses its own generator seeded with `seed + i` (splittable across
     workers); actors advance with the scan period. Bit-identical for a fixed
@@ -435,7 +437,6 @@ def generate_trial_sequence(
     """
     if n_scans < 1:
         raise ValueError("n_scans must be >= 1")
-    frames = []
     gt_prism = prism_position(robot_pose, prism)
     for i in range(n_scans):
         rng = np.random.default_rng(seed + i)
@@ -447,17 +448,14 @@ def generate_trial_sequence(
             )
             for cam in cameras
         )
-        frames.append(
-            TrialFrame(
-                index=i,
-                time_s=time_s,
-                scan=scan,
-                images=images,
-                pose=robot_pose,
-                prism=gt_prism,
-            )
+        yield TrialFrame(
+            index=i, time_s=time_s, scan=scan, images=images, pose=robot_pose, prism=gt_prism
         )
-    return frames
+
+
+def generate_trial_sequence(*args, **kwargs) -> list[TrialFrame]:
+    """All frames of `iter_trial_sequence(*args, **kwargs)` as a list."""
+    return list(iter_trial_sequence(*args, **kwargs))
 
 
 # ---------------------------------------------------------------------------

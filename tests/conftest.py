@@ -1,4 +1,7 @@
-"""Shared scene builders for the test suite."""
+"""Shared scene builders and subprocess environment for the test suite."""
+
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,16 @@ from planloc import (
     extrude_floorplan,
 )
 from planloc.sensor_sim import Scene
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def src_env() -> dict:
+    """This process's environment with the checkout's `src` first on
+    PYTHONPATH, so `python -m planloc` and the demos run uninstalled."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def square_room_plan(side: float = 6.0, thickness: float = 0.2, height: float = 2.5):

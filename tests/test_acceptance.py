@@ -31,7 +31,7 @@ from planloc.registration import (
 )
 from planloc.sensor_sim import LidarSpec, Scene, raycast_scan
 
-from conftest import random_rotvec, square_room_plan
+from conftest import random_rotvec, square_room_plan, src_env
 from test_metrics import (
     failed_record,
     localized_record,
@@ -501,6 +501,7 @@ def test_c9_run_matrix_determinism(tmp_path):
             ],
             capture_output=True,
             text=True,
+            env=src_env(),
         )
         assert proc.returncode == 0, proc.stderr
         runs.append((tmp_path / sub / "report.csv").read_bytes())

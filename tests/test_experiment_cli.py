@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import src_env
+from planloc import cli, experiment, registration, sensor_sim
 from planloc.experiment import (
     ConfigError,
     METHOD_MATRIX,
@@ -15,7 +17,6 @@ from planloc.experiment import (
     run_execution,
     run_matrix,
 )
-from planloc import registration
 from planloc.geometry import compose
 from planloc.model import load_model
 from planloc.registration import SCAN_METHODS, localize
@@ -73,7 +74,7 @@ def tiny_config(tmp_path: Path, **extra) -> Path:
 
 def run_cli(*args):
     return subprocess.run(
-        [sys.executable, "-m", "planloc", *args], capture_output=True, text=True
+        [sys.executable, "-m", "planloc", *args], capture_output=True, text=True, env=src_env()
     )
 
 
@@ -146,6 +147,71 @@ class TestBuildScene:
         proc = run_cli("build-scene", "--config", str(path))
         assert proc.returncode == 2
         assert "missing_plan.json" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            (
+                "exp.json",
+                lambda d: {**d, "clutter": [{"id": "board", "center": [1.0, 1.0, 0.5]}]},
+                "missing required field 'size'",
+            ),
+            (
+                "exp.json",
+                lambda d: {**d, "actors": [{"center": [1.0, 1.0, 0.9], "size": [0.4, 0.4, 1.8]}]},
+                "missing required field 'id'",
+            ),
+            (
+                "plan.json",
+                lambda d: {k: v for k, v in d.items() if k != "walls"},
+                "missing required field 'walls'",
+            ),
+            (
+                "plan.json",
+                lambda d: {**d, "walls": [
+                    {k: v for k, v in w.items() if k != "thickness"} for w in d["walls"]
+                ]},
+                "missing required field 'thickness'",
+            ),
+            ("refs.json", lambda d: {"ids": d}, "reference set file must be a JSON list of strings"),
+            ("refs.json", lambda d: d + ["wall_z"], "unknown surface id 'wall_z'"),
+            ("exp.json", lambda d: [], "must hold a JSON object, not list"),
+        ],
+        ids=[
+            "clutter_without_size", "actor_without_id", "floorplan_without_walls",
+            "wall_without_thickness", "references_not_a_list", "unknown_reference",
+            "config_is_a_list",
+        ],
+    )
+    def test_malformed_input_exits_two_naming_file(self, tmp_path, name, edit, message):
+        cfg_path = tiny_config(tmp_path)
+        path = tmp_path / name
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        proc = run_cli("build-scene", "--config", str(cfg_path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {path}: {message}\n"
+
+    def test_samples_no_map_and_builds_no_index(self, tmp_path, monkeypatch, capsys):
+        path = tiny_config(tmp_path)
+        counts = {"sample_model": 0, "MapIndex": 0}
+        sample, index_init = experiment.sample_model, registration.MapIndex.__init__
+
+        def counted_sample(*args, **kwargs):
+            counts["sample_model"] += 1
+            return sample(*args, **kwargs)
+
+        def counted_init(self, *args, **kwargs):
+            counts["MapIndex"] += 1
+            index_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "sample_model", counted_sample)
+        monkeypatch.setattr(registration.MapIndex, "__init__", counted_init)
+        assert cli.main(["build-scene", "--config", str(path)]) == 0
+        assert "wall_a" in capsys.readouterr().out
+        assert counts == {"sample_model": 0, "MapIndex": 0}
+        assemble_scene(load_config(path))  # the counters do see scene assembly
+        assert counts == {"sample_model": 1, "MapIndex": 2}
 
 
 class TestRunMatrix:
@@ -243,6 +309,28 @@ class TestSharedStage:
         assert list(records) == [("full", "filtered")]
         assert len(records[("full", "filtered")]) == 2
         assert counts == {"point_to_plane_icp": 2, "selective_localize": 0}
+
+
+class TestOneFrameAtATime:
+    def test_simulation_and_localization_interleave(self, tmp_path, monkeypatch):
+        cfg = load_config(tiny_config(tmp_path, n_scans=2))
+        bundle = assemble_scene(cfg)
+        events = []
+        raycast, loc = sensor_sim.raycast_scan, experiment.localize
+
+        def traced_raycast(*args, **kwargs):
+            events.append("raycast_scan")
+            return raycast(*args, **kwargs)
+
+        def traced_localize(*args, **kwargs):
+            events.append("localize")
+            return loc(*args, **kwargs)
+
+        monkeypatch.setattr(sensor_sim, "raycast_scan", traced_raycast)
+        monkeypatch.setattr(experiment, "localize", traced_localize)
+        run_execution(bundle, cfg, 0)
+        # one localization per scan variant, right after its frame is simulated
+        assert events == ["raycast_scan", "localize", "localize", "localize"] * 2
 
 
 class TestLocalizeOnce:
@@ -360,6 +448,20 @@ class TestLocalizeOnce:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["outcome"] == "localized"
+
+    def test_init_pose_must_be_an_object(self, tmp_path):
+        cfg_path = tiny_config(tmp_path)
+        scan_path = tmp_path / "scan.csv"
+        scan_path.write_text("x,y,z,class\n")
+        pose_path = tmp_path / "init.json"
+        pose_path.write_text("[]")
+        proc = run_cli(
+            "localize-once", "--config", str(cfg_path), "--scan", str(scan_path),
+            "--init-pose", str(pose_path),
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {pose_path}: must hold a JSON object, not list\n"
 
     @pytest.mark.parametrize(
         "variant, densities, message",

@@ -96,24 +96,6 @@ class TestProjection:
             assert removed == 0
             assert fused.densities[0] == vals[iv, iu]
 
-    def test_occlusion_check(self):
-        cam = forward_camera()
-        vals = np.full((cam.height, cam.width), 0.6)
-        depth = np.full((cam.height, cam.width), 1.0)  # a pane 1 m ahead
-        img = DensityImage(values=vals, depth=depth)
-        scan = Scan(points=np.array([[2.0, 0.0, 0.0], [0.5, 0.0, 0.0]]))
-        cfg = FusionConfig(occlusion_check=True, occlusion_tolerance_m=0.05)
-        fused, removed = fuse_densities(scan, [(img, cam, cam.extrinsic)], cfg)
-        assert removed == 1  # the 2 m point is behind the pane
-        np.testing.assert_allclose(fused.points[0], [0.5, 0.0, 0.0])
-
-    def test_occlusion_check_needs_depth(self):
-        cam = forward_camera()
-        scan = Scan(points=np.array([[2.0, 0.0, 0.0]]))
-        cfg = FusionConfig(occlusion_check=True)
-        with pytest.raises(ValueError):
-            fuse_densities(scan, [(constant_image(cam, 0.5), cam, cam.extrinsic)], cfg)
-
 
 class TestBinaryWeights:
     def test_threshold_keeps_boundary(self):
