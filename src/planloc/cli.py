@@ -17,26 +17,27 @@ from .registration import result_record
 from .sensor_sim import read_density_pgm, read_scan_csv
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+# Config overrides, by the `load_config` key each sets: flag, type, help.
+OVERRIDES = {
+    "seed": ("--seed", int, "override the master seed"),
+    "out_dir": ("--out", str, "override the output directory"),
+    "delta": ("--delta", float, "binary density threshold"),
+    "delta_prime": ("--delta-prime", float, "linear weighting threshold"),
+    "tau_trans": ("--tau-trans", float, "rejection threshold, meters"),
+    "tau_rot": ("--tau-rot", float, "rejection threshold, radians"),
+}
+
+
+def _add_config(parser: argparse.ArgumentParser, *overrides: str) -> None:
+    """`--config` plus the override flags of `overrides` (keys of OVERRIDES)."""
     parser.add_argument("--config", required=True, help="experiment config JSON")
-    parser.add_argument("--seed", type=int, help="override the master seed")
-    parser.add_argument("--out", help="override the output directory")
-    parser.add_argument("--delta", type=float, help="binary density threshold")
-    parser.add_argument("--delta-prime", type=float, help="linear weighting threshold")
-    parser.add_argument("--tau-trans", type=float, help="rejection threshold, meters")
-    parser.add_argument("--tau-rot", type=float, help="rejection threshold, radians")
+    for key in overrides:
+        flag, kind, text = OVERRIDES[key]
+        parser.add_argument(flag, dest=key, type=kind, help=text)
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    mapping = {
-        "seed": args.seed,
-        "out_dir": args.out,
-        "delta": args.delta,
-        "delta_prime": args.delta_prime,
-        "tau_trans": args.tau_trans,
-        "tau_rot": args.tau_rot,
-    }
-    return {k: v for k, v in mapping.items() if v is not None}
+    return {k: v for k in OVERRIDES if (v := getattr(args, k, None)) is not None}
 
 
 def cmd_build_scene(args: argparse.Namespace) -> int:
@@ -77,15 +78,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_build = sub.add_parser("build-scene", help="extrude and write scene meshes")
-    _add_common(p_build)
+    _add_config(p_build, "out_dir")
     p_build.set_defaults(func=cmd_build_scene)
 
     p_run = sub.add_parser("run-matrix", help="evaluate all six method combinations")
-    _add_common(p_run)
+    _add_config(p_run, *OVERRIDES)
     p_run.set_defaults(func=cmd_run_matrix)
 
     p_once = sub.add_parser("localize-once", help="localize one scan file")
-    _add_common(p_once)
+    _add_config(p_once, "seed", "delta", "delta_prime", "tau_trans", "tau_rot")
     p_once.add_argument(
         "--scan", required=True, help="scan CSV, x,y,z,class or fused x,y,z,d,w"
     )

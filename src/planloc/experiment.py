@@ -5,6 +5,7 @@ method matrix over stationary trial sequences, and report emission.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -139,7 +140,7 @@ class ExperimentConfig:
     n_executions: int
     seed: int
     out_dir: Path
-    scan_period_s: float = 0.2
+    scan_period_s: float
 
     def __post_init__(self):
         if self.n_scans < 1 or self.n_executions < 1:
@@ -159,9 +160,36 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     """Load a schema-1 experiment config with the plan, reference set and
     as-built scene it names; relative paths resolve against the config
     file's directory. `overrides` may replace scalar knobs (seed, out_dir,
-    delta, delta_prime, tau_trans, tau_rot). A malformed config, floorplan
-    or reference set raises ConfigError naming that file."""
+    delta, delta_prime, tau_trans, tau_rot). A malformed config (an unknown
+    key in a settings section among them), floorplan or reference set raises
+    ConfigError naming that file."""
     return _checked(Path(path), lambda path: _parse_config(path, overrides or {}))
+
+
+# Config keys spelt otherwise than the spec field they set, by field name.
+_CONFIG_KEY = {
+    "mu_background": "mu_bg",
+    "mu_foreground": "mu_fg",
+    "corruption_rate": "rho",
+    "corrupt_surface_ids": "corrupt_surfaces",
+    "tau_translation_m": "tau_trans_m",
+    "tau_rotation_rad": "tau_rot_rad",
+}
+
+
+def _spec(build, section: str, obj: dict, special: tuple[str, ...] = (), **fixed):
+    """`build(**fixed, **fields)` with the fields that config section `obj`
+    sets; a field it omits keeps `build`'s own default. The `special` keys
+    are the caller's to read; any other key that names no field raises."""
+    fields = {
+        _CONFIG_KEY.get(name, name): name
+        for name in inspect.signature(build).parameters
+        if name not in fixed
+    }
+    for key in obj:
+        if key not in fields and key not in special:
+            raise ValueError(f"{section}: unknown field '{key}'")
+    return build(**fixed, **{fields[k]: v for k, v in obj.items() if k in fields})
 
 
 def _parse_config(path: Path, overrides: dict) -> ExperimentConfig:
@@ -170,64 +198,36 @@ def _parse_config(path: Path, overrides: dict) -> ExperimentConfig:
         raise ConfigError(f"{path}: field 'schema' must be 1")
     base = path.parent
     lidar_doc = doc.get("lidar", {})
-    rings = lidar_doc.get("rings", 16)
-    lidar = LidarSpec(
-        ring_elevations_deg=tuple(
-            np.linspace(
-                lidar_doc.get("elevation_min_deg", -15.0),
-                lidar_doc.get("elevation_max_deg", 15.0),
-                rings,
-            )
-        ),
-        azimuth_step_deg=lidar_doc.get("azimuth_step_deg", 0.4),
-        max_range_m=lidar_doc.get("max_range_m", 50.0),
-        range_noise_m=lidar_doc.get("range_noise_m", 0.01),
+    rings = np.linspace(
+        lidar_doc.get("elevation_min_deg", -15.0),
+        lidar_doc.get("elevation_max_deg", 15.0),
+        lidar_doc.get("rings", 16),
     )
-    cam_doc = doc.get("cameras", {})
-    cameras = default_camera_rig(
-        count=cam_doc.get("count", 3),
-        width=cam_doc.get("width", 160),
-        height=cam_doc.get("height", 120),
-        hfov_deg=cam_doc.get("hfov_deg", 110.0),
-        mount=cam_doc.get("mount", (0.0, 0.0, 0.25)),
+    lidar = _spec(
+        LidarSpec, "lidar", lidar_doc, ("rings", "elevation_min_deg", "elevation_max_deg"),
+        ring_elevations_deg=tuple(rings),
     )
+    cameras = _spec(default_camera_rig, "cameras", doc.get("cameras", {}))
     oracle_doc = doc.get("density_oracle", {})
-    corrupt = oracle_doc.get("corrupt_surfaces")
-    oracle = DensityOracleParams(
-        mu_background=oracle_doc.get("mu_bg", 0.8),
-        mu_foreground=oracle_doc.get("mu_fg", 0.2),
-        sigma=oracle_doc.get("sigma", 0.1),
-        corruption_rate=oracle_doc.get("rho", 0.05),
-        corrupt_surface_ids=tuple(corrupt) if corrupt else None,
-    )
+    if oracle_doc.get("corrupt_surfaces") == []:  # as when absent: every building surface
+        oracle_doc = {**oracle_doc, "corrupt_surfaces": None}
+    oracle = _spec(DensityOracleParams, "density_oracle", oracle_doc)
     fusion_doc = doc.get("fusion", {})
-    fusion = FusionConfig(rule=fusion_doc.get("rule", "max"))
+    fusion = _spec(FusionConfig, "fusion", fusion_doc, ("delta", "delta_prime"))
     delta = float(overrides.get("delta", fusion_doc.get("delta", 0.5)))
     delta_prime = float(overrides.get("delta_prime", fusion_doc.get("delta_prime", 0.1)))
-    def icp_from(doc_section: dict) -> IcpConfig:
-        return IcpConfig(
-            max_iterations=doc_section.get("max_iterations", 50),
-            max_correspondence_m=doc_section.get("max_correspondence_m", 0.5),
-            translation_eps_m=doc_section.get("translation_eps_m", 1e-4),
-            rotation_eps_rad=doc_section.get("rotation_eps_rad", 1e-5),
-            kernel=doc_section.get("kernel", "huber"),
-            huber_scale_m=doc_section.get("huber_scale_m", 0.05),
-            min_correspondences=doc_section.get("min_correspondences", 30),
-        )
-
     icp_doc = doc.get("icp", {})
-    icp = icp_from(icp_doc)
-    sel_doc = doc.get("selective", {})
+    sel_doc = dict(doc.get("selective", {}))
+    for name, key in (("tau_trans", "tau_trans_m"), ("tau_rot", "tau_rot_rad")):
+        if name in overrides:
+            sel_doc[key] = overrides[name]
     # the selective stage may override solver knobs (tighter gate etc.)
-    selective = SelectiveConfig(
-        tau_translation_m=float(
-            overrides.get("tau_trans", sel_doc.get("tau_trans_m", 0.15))
+    selective = _spec(
+        SelectiveConfig, "selective", sel_doc, ("icp",),
+        full_icp=_spec(IcpConfig, "icp", icp_doc),
+        selective_icp=_spec(
+            IcpConfig, "selective.icp", {**icp_doc, **sel_doc.get("icp", {})}
         ),
-        tau_rotation_rad=float(
-            overrides.get("tau_rot", sel_doc.get("tau_rot_rad", 0.05))
-        ),
-        full_icp=icp,
-        selective_icp=icp_from({**icp_doc, **sel_doc.get("icp", {})}),
     )
     plan = _checked(base / doc["floorplan"], lambda p: extrude_floorplan(load_floorplan(p)))
     references = _checked(

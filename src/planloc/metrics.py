@@ -8,7 +8,7 @@ repeatability in mrad^2, accuracy in mm, failure rate in percent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -158,19 +158,12 @@ def average_executions(reports: Sequence[MetricsReport]) -> MetricsReport:
     if len(totals) != 1:
         raise MismatchedTrialsError(f"reports cover different trial counts: {sorted(totals)}")
 
-    def mean(attr: str) -> float:
-        return float(np.mean([getattr(r, attr) for r in reports]))
-
-    return MetricsReport(
-        pos_max_eigenvalue_mm2=mean("pos_max_eigenvalue_mm2"),
-        pos_trace_mm2=mean("pos_trace_mm2"),
-        rot_max_eigenvalue_mrad2=mean("rot_max_eigenvalue_mrad2"),
-        rot_trace_mrad2=mean("rot_trace_mrad2"),
-        accuracy_rmse_mm=mean("accuracy_rmse_mm"),
-        failure_rate_pct=mean("failure_rate_pct"),
-        n_localized=mean("n_localized"),
-        n_total=reports[0].n_total,
-    )
+    means = {
+        f.name: float(np.mean([getattr(r, f.name) for r in reports]))
+        for f in fields(MetricsReport)
+        if f.name != "n_total"
+    }
+    return MetricsReport(**means, n_total=reports[0].n_total)
 
 
 REPORT_HEADER = (

@@ -131,7 +131,6 @@ class BuildingModel:
     """Collection of named surfaces in one frame (the plan origin)."""
 
     surfaces: tuple[Surface, ...]
-    frame: str = "plan"
 
     def __post_init__(self):
         object.__setattr__(self, "surfaces", tuple(self.surfaces))
@@ -154,7 +153,7 @@ class BuildingModel:
         for sid in wanted:
             self.get(sid)
         keep = tuple(s for s in self.surfaces if s.id in set(wanted))
-        return BuildingModel(keep, frame=self.frame)
+        return BuildingModel(keep)
 
     @property
     def total_area(self) -> float:
@@ -455,7 +454,7 @@ def apply_deviation(model: BuildingModel, deviations: Sequence[Deviation]) -> Bu
             if sid not in moved:
                 raise UnknownSurfaceIdError(f"unknown surface id {sid!r}")
             moved[sid] = moved[sid].transformed(dev.offset)
-    return BuildingModel(tuple(moved[s.id] for s in model.surfaces), frame=model.frame)
+    return BuildingModel(tuple(moved[s.id] for s in model.surfaces))
 
 
 # ---------------------------------------------------------------------------

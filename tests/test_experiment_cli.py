@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from planloc.experiment import (
     run_execution,
     run_matrix,
 )
+from planloc.fusion import FusionConfig
 from planloc.geometry import compose
 from planloc.model import load_model
 from planloc.registration import SCAN_METHODS, localize
@@ -80,11 +82,37 @@ def run_cli(*args):
 
 class TestConfig:
     def test_loads_with_defaults(self, tmp_path):
-        cfg = load_config(tiny_config(tmp_path))
+        path = tiny_config(tmp_path)
+        doc = json.loads(path.read_text())
+        for section in ("lidar", "cameras"):
+            del doc[section]
+        path.write_text(json.dumps(doc))
+        cfg = load_config(path)
         assert cfg.n_executions == 2
         assert cfg.delta == 0.5 and cfg.delta_prime == 0.1
-        assert cfg.selective.tau_translation_m == 0.15
-        assert len(cfg.cameras) == 3
+        default_sel = registration.SelectiveConfig()
+        assert cfg.selective.tau_translation_m == default_sel.tau_translation_m
+        assert cfg.selective.tau_rotation_rad == default_sel.tau_rotation_rad
+        assert cfg.selective.full_icp == registration.IcpConfig()
+        assert cfg.selective.selective_icp == registration.IcpConfig()
+        assert cfg.oracle == sensor_sim.DensityOracleParams()
+        assert cfg.fusion == FusionConfig()
+        assert cfg.lidar == sensor_sim.LidarSpec()
+        rig = sensor_sim.default_camera_rig()
+        assert len(cfg.cameras) == len(rig) == 3
+        for cam, ref in zip(cfg.cameras, rig):
+            for f in dataclasses.fields(ref):
+                if f.name == "extrinsic":
+                    for part in ("rotation", "translation"):
+                        np.testing.assert_array_equal(
+                            getattr(cam.extrinsic, part), getattr(ref.extrinsic, part)
+                        )
+                else:
+                    assert getattr(cam, f.name) == getattr(ref, f.name), f.name
+
+    def test_empty_corrupt_surfaces_means_every_surface(self, tmp_path):
+        path = tiny_config(tmp_path, density_oracle={"corrupt_surfaces": []})
+        assert load_config(path).oracle.corrupt_surface_ids is None
 
     def test_overrides(self, tmp_path):
         cfg = load_config(
@@ -176,11 +204,53 @@ class TestBuildScene:
             ("refs.json", lambda d: {"ids": d}, "reference set file must be a JSON list of strings"),
             ("refs.json", lambda d: d + ["wall_z"], "unknown surface id 'wall_z'"),
             ("exp.json", lambda d: [], "must hold a JSON object, not list"),
+            (
+                "exp.json",
+                lambda d: {**d, "lidar": {**d["lidar"], "ring": 4}},
+                "lidar: unknown field 'ring'",
+            ),
+            (
+                "exp.json",
+                lambda d: {**d, "cameras": {**d["cameras"], "hfov": 90}},
+                "cameras: unknown field 'hfov'",
+            ),
+            (
+                "exp.json",
+                lambda d: {**d, "density_oracle": {"mu_bg": 0.8, "sigm": 0.1}},
+                "density_oracle: unknown field 'sigm'",
+            ),
+            (
+                "exp.json",
+                lambda d: {**d, "fusion": {"rules": "max"}},
+                "fusion: unknown field 'rules'",
+            ),
+            (
+                "exp.json",
+                lambda d: {**d, "icp": {"max_iteration": 5, "huber_scale": 0.5}},
+                "icp: unknown field 'max_iteration'",
+            ),
+            (
+                "exp.json",
+                lambda d: {**d, "selective": {"tau_trans": 0.01}},
+                "selective: unknown field 'tau_trans'",
+            ),
+            (
+                "exp.json",
+                lambda d: {**d, "selective": {"icp": {"max_correspondence": 0.3}}},
+                "selective.icp: unknown field 'max_correspondence'",
+            ),
+            (
+                "exp.json",
+                lambda d: {**d, "density_oracle": {"mu_background": 0.1}},
+                "density_oracle: unknown field 'mu_background'",
+            ),
         ],
         ids=[
             "clutter_without_size", "actor_without_id", "floorplan_without_walls",
             "wall_without_thickness", "references_not_a_list", "unknown_reference",
-            "config_is_a_list",
+            "config_is_a_list", "lidar_misspelt_key", "cameras_misspelt_key",
+            "density_oracle_misspelt_key", "fusion_misspelt_key", "icp_misspelt_key",
+            "selective_misspelt_key", "selective_icp_misspelt_key", "field_name_alias",
         ],
     )
     def test_malformed_input_exits_two_naming_file(self, tmp_path, name, edit, message):
@@ -191,6 +261,13 @@ class TestBuildScene:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == f"error: {path}: {message}\n"
+
+    def test_unused_override_flag_exits_two(self, tmp_path):
+        proc = run_cli("build-scene", "--config", str(tiny_config(tmp_path)), "--seed", "1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "unrecognized arguments: --seed 1" in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_samples_no_map_and_builds_no_index(self, tmp_path, monkeypatch, capsys):
         path = tiny_config(tmp_path)
