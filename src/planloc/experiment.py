@@ -93,7 +93,17 @@ def _json_object(path: Path) -> dict:
     return doc
 
 
-def _pose_from_obj(obj: dict, where: str) -> RigidTransform:
+_POSE_KEYS = ("translation", "yaw_deg", "quaternion")
+
+
+def _pose_from_obj(obj: dict, where: str, extra: tuple[str, ...] = ()) -> RigidTransform:
+    """A config pose: `translation` plus `yaw_deg` or `quaternion`; the
+    `extra` keys are the caller's to read, and any other key raises."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object")
+    for key in obj:
+        if key not in _POSE_KEYS and key not in extra:
+            raise ConfigError(f"{where}: unknown field '{key}'")
     translation = obj.get("translation", [0.0, 0.0, 0.0])
     if "quaternion" in obj and "yaw_deg" in obj:
         raise ConfigError(f"{where}: give either quaternion or yaw_deg, not both")
@@ -177,6 +187,15 @@ _CONFIG_KEY = {
 }
 
 
+def _section(doc: dict, key: str, name: str | None = None) -> dict:
+    """Settings section `key` of `doc`, {} when absent; a section that is
+    not a JSON object raises, naming it `name` (default `key`)."""
+    obj = doc.get(key, {})
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name or key}: expected an object")
+    return obj
+
+
 def _spec(build, section: str, obj: dict, special: tuple[str, ...] = (), **fixed):
     """`build(**fixed, **fields)` with the fields that config section `obj`
     sets; a field it omits keeps `build`'s own default. The `special` keys
@@ -197,7 +216,7 @@ def _parse_config(path: Path, overrides: dict) -> ExperimentConfig:
     if doc.get("schema") != 1:
         raise ConfigError(f"{path}: field 'schema' must be 1")
     base = path.parent
-    lidar_doc = doc.get("lidar", {})
+    lidar_doc = _section(doc, "lidar")
     rings = np.linspace(
         lidar_doc.get("elevation_min_deg", -15.0),
         lidar_doc.get("elevation_max_deg", 15.0),
@@ -207,17 +226,17 @@ def _parse_config(path: Path, overrides: dict) -> ExperimentConfig:
         LidarSpec, "lidar", lidar_doc, ("rings", "elevation_min_deg", "elevation_max_deg"),
         ring_elevations_deg=tuple(rings),
     )
-    cameras = _spec(default_camera_rig, "cameras", doc.get("cameras", {}))
-    oracle_doc = doc.get("density_oracle", {})
+    cameras = _spec(default_camera_rig, "cameras", _section(doc, "cameras"))
+    oracle_doc = _section(doc, "density_oracle")
     if oracle_doc.get("corrupt_surfaces") == []:  # as when absent: every building surface
         oracle_doc = {**oracle_doc, "corrupt_surfaces": None}
     oracle = _spec(DensityOracleParams, "density_oracle", oracle_doc)
-    fusion_doc = doc.get("fusion", {})
+    fusion_doc = _section(doc, "fusion")
     fusion = _spec(FusionConfig, "fusion", fusion_doc, ("delta", "delta_prime"))
     delta = float(overrides.get("delta", fusion_doc.get("delta", 0.5)))
     delta_prime = float(overrides.get("delta_prime", fusion_doc.get("delta_prime", 0.1)))
-    icp_doc = doc.get("icp", {})
-    sel_doc = dict(doc.get("selective", {}))
+    icp_doc = _section(doc, "icp")
+    sel_doc = dict(_section(doc, "selective"))
     for name, key in (("tau_trans", "tau_trans_m"), ("tau_rot", "tau_rot_rad")):
         if name in overrides:
             sel_doc[key] = overrides[name]
@@ -226,7 +245,7 @@ def _parse_config(path: Path, overrides: dict) -> ExperimentConfig:
         SelectiveConfig, "selective", sel_doc, ("icp",),
         full_icp=_spec(IcpConfig, "icp", icp_doc),
         selective_icp=_spec(
-            IcpConfig, "selective.icp", {**icp_doc, **sel_doc.get("icp", {})}
+            IcpConfig, "selective.icp", {**icp_doc, **_section(sel_doc, "icp", "selective.icp")}
         ),
     )
     plan = _checked(base / doc["floorplan"], lambda p: extrude_floorplan(load_floorplan(p)))
@@ -237,7 +256,7 @@ def _parse_config(path: Path, overrides: dict) -> ExperimentConfig:
     deviations = tuple(
         Deviation(
             surface_ids=tuple(d["surfaces"]),
-            offset=_pose_from_obj(d, f"{path}: deviation[{i}]"),
+            offset=_pose_from_obj(d, f"{path}: deviation[{i}]", ("surfaces",)),
         )
         for i, d in enumerate(doc.get("deviation", []))
     )
@@ -258,7 +277,7 @@ def _parse_config(path: Path, overrides: dict) -> ExperimentConfig:
         if "initial_pose" in doc
         else robot_pose
     )
-    prism = PrismSpec(offset=np.asarray(doc.get("prism", {}).get("offset", [0.0, 0.0, 0.3])))
+    prism = PrismSpec(offset=np.asarray(_section(doc, "prism").get("offset", [0.0, 0.0, 0.3])))
     return ExperimentConfig(
         plan=plan,
         references=references,

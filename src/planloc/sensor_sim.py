@@ -20,6 +20,11 @@ POINT_CLASSES = ("building", "clutter", "actor")
 
 _RAY_EPS = 1e-9
 _CHUNK = 2048
+_CELL_DEG = 8.0  # ray-group cell size of the raycast broad phase
+_CULL_PAD_RAD = 1e-6  # covers rounding in the cull's angles
+# rays x triangles a ray group holds at least: a smaller group's cull saves
+# less than the fixed numpy cost of one more kernel call
+_GROUP_PAIRS = 16384
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -240,6 +245,8 @@ class DensityOracleParams:
     def __post_init__(self):
         if self.sigma < 0 or not (0 <= self.corruption_rate <= 1):
             raise ValueError("sigma must be >= 0 and corruption rate within [0, 1]")
+        if isinstance(self.corrupt_surface_ids, str):
+            raise ValueError("corrupt surface ids must be a list of ids, not a string")
         if self.corrupt_surface_ids is not None:
             object.__setattr__(
                 self, "corrupt_surface_ids", tuple(self.corrupt_surface_ids)
@@ -290,8 +297,16 @@ def _gather_scene(scene: Scene, time_s: float):
 def _raycast(origin: np.ndarray, dirs: np.ndarray, triangles: np.ndarray):
     """Nearest-hit distances of rays from one origin against a triangle soup.
 
-    Returns (t (K,), tri_index (K,)); t is inf and tri_index -1 on miss.
-    Moller-Trumbore, vectorized over ray chunks x all triangles.
+    Returns (t (K,), tri_index (K,)); t is inf and tri_index -1 on miss; of
+    equally near hits the lowest triangle index wins.
+
+    Rays are grouped by direction (`_ray_groups`), and each group is tested
+    (Moller-Trumbore) only against the triangles its bounding cone can
+    reach: a triangle's padded bounding sphere, seen from the origin, spans an
+    angle beta about its centre direction, and a group's rays lie within
+    alpha of their mean direction, so any hit of the group lies within
+    alpha + beta of that axis. The cull drops no hit: results equal testing
+    every ray against every triangle, bit for bit.
     """
     k = len(dirs)
     best_t = np.full(k, np.inf)
@@ -301,28 +316,75 @@ def _raycast(origin: np.ndarray, dirs: np.ndarray, triangles: np.ndarray):
     v0 = triangles[:, 0]
     e1 = triangles[:, 1] - v0
     e2 = triangles[:, 2] - v0
-    for start in range(0, k, _CHUNK):
-        d = dirs[start : start + _CHUNK]  # (C, 3)
-        pvec = np.cross(d[:, None, :], e2[None, :, :])  # (C, M, 3)
-        det = np.einsum("mj,cmj->cm", e1, pvec)
+    tvec = origin - v0  # (M, 3)
+    qvec = np.cross(tvec, e1)  # (M, 3)
+    t_num = np.einsum("mj,mj->m", e2, qvec)
+
+    # per triangle: direction of its bounding sphere's centre and the angle
+    # the sphere spans about it; padded past the kernel's 1e-12 tolerance
+    centre = triangles.mean(axis=1)
+    radius = np.linalg.norm(triangles - centre[:, None], axis=2).max(axis=1)
+    radius = radius * (1.0 + 1e-6) + 1e-9
+    to_centre = centre - origin
+    dist = np.linalg.norm(to_centre, axis=1)
+    outside = dist > radius
+    dist = np.where(outside, dist, 1.0)
+    centre_dir = to_centre / dist[:, None]
+    beta = np.where(outside, np.arcsin(np.minimum(radius / dist, 1.0)), np.pi)
+
+    length = np.linalg.norm(dirs, axis=1)
+    unit = dirs / np.where(length > 0, length, 1.0)[:, None]
+    for rays in _ray_groups(unit, -(-_GROUP_PAIRS // len(triangles))):
+        axis = unit[rays].sum(axis=0)
+        axis /= max(np.linalg.norm(axis), 1e-300)  # any axis is exact; 0 keeps all
+        alpha = np.arccos(np.clip(unit[rays] @ axis, -1.0, 1.0)).max()
+        reach = alpha + beta + _CULL_PAD_RAD
+        kept = np.flatnonzero((reach >= np.pi) | (centre_dir @ axis >= np.cos(reach)))
+        if len(kept) == 0:
+            continue
+        d = dirs[rays]  # (C, 3)
+        pvec = np.cross(d[:, None, :], e2[None, kept, :])  # (C, m, 3)
+        det = np.einsum("mj,cmj->cm", e1[kept], pvec)
         ok = np.abs(det) > 1e-12
         inv_det = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-        tvec = origin - v0  # (M, 3)
-        u = np.einsum("mj,cmj->cm", tvec, pvec) * inv_det
+        u = np.einsum("mj,cmj->cm", tvec[kept], pvec) * inv_det
         ok &= (u >= -1e-12) & (u <= 1.0 + 1e-12)
-        qvec = np.cross(tvec, e1)  # (M, 3)
-        v = np.einsum("cj,mj->cm", d, qvec) * inv_det
+        v = np.einsum("cj,mj->cm", d, qvec[kept]) * inv_det
         ok &= (v >= -1e-12) & (u + v <= 1.0 + 1e-12)
-        t = np.einsum("mj,mj->m", e2, qvec)[None, :] * inv_det
+        t = t_num[kept][None, :] * inv_det
         ok &= t > _RAY_EPS
         t = np.where(ok, t, np.inf)
         tri = np.argmin(t, axis=1)
         tmin = t[np.arange(len(d)), tri]
         hit = np.isfinite(tmin)
-        sl = slice(start, start + len(d))
-        best_t[sl] = np.where(hit, tmin, np.inf)
-        best_tri[sl] = np.where(hit, tri, -1)
+        best_t[rays] = np.where(hit, tmin, np.inf)
+        best_tri[rays] = np.where(hit, kept[tri], -1)
     return best_t, best_tri
+
+
+def _ray_groups(unit: np.ndarray, min_rays: int) -> list[np.ndarray]:
+    """Indices of the rays in each nonempty azimuth x elevation cell of
+    `_CELL_DEG`, taken in cell order; consecutive cells are merged until a
+    group holds at least `min_rays` rays, and a group holds at most `_CHUNK`."""
+    n_az = int(np.ceil(360.0 / _CELL_DEG))
+    n_el = int(np.ceil(180.0 / _CELL_DEG))
+    az = np.arctan2(unit[:, 1], unit[:, 0]) + np.pi  # [0, 2 pi]
+    el = np.arcsin(np.clip(unit[:, 2], -1.0, 1.0)) + np.pi / 2  # [0, pi]
+    az_cell = np.minimum((az * (n_az / (2 * np.pi))).astype(np.int64), n_az - 1)
+    el_cell = np.minimum((el * (n_el / np.pi)).astype(np.int64), n_el - 1)
+    # serpentine order: odd bands run backwards, so consecutive cells touch
+    cell = el_cell * n_az + np.where(el_cell % 2, n_az - 1 - az_cell, az_cell)
+    order = np.argsort(cell, kind="stable")
+    bounds = [0]
+    for start in np.flatnonzero(np.diff(cell[order])) + 1:
+        if start - bounds[-1] >= min_rays:
+            bounds.append(start)
+    bounds.append(len(order))
+    return [
+        order[lo : min(lo + _CHUNK, hi)]
+        for s, hi in zip(bounds, bounds[1:])
+        for lo in range(s, hi, _CHUNK)
+    ]
 
 
 def raycast_scan(

@@ -244,6 +244,30 @@ class TestBuildScene:
                 lambda d: {**d, "density_oracle": {"mu_background": 0.1}},
                 "density_oracle: unknown field 'mu_background'",
             ),
+            ("exp.json", lambda d: {**d, "icp": 5}, "icp: expected an object"),
+            ("exp.json", lambda d: {**d, "lidar": [1]}, "lidar: expected an object"),
+            (
+                "exp.json",
+                lambda d: {**d, "selective": {"icp": []}},
+                "selective.icp: expected an object",
+            ),
+            (
+                "exp.json",
+                lambda d: {**d, "density_oracle": {"corrupt_surfaces": "wall_a"}},
+                "corrupt surface ids must be a list of ids, not a string",
+            ),
+            (
+                "exp.json",
+                lambda d: {**d, "robot_pose": {"translaton": [3.0, 2.6, 0.45]}},
+                "robot_pose: unknown field 'translaton'",
+            ),
+            (
+                "exp.json",
+                lambda d: {**d, "deviation": [
+                    {"surfaces": ["wall_c"], "translation": [0, -0.3, 0], "yaw": 5}
+                ]},
+                "deviation[0]: unknown field 'yaw'",
+            ),
         ],
         ids=[
             "clutter_without_size", "actor_without_id", "floorplan_without_walls",
@@ -251,6 +275,8 @@ class TestBuildScene:
             "config_is_a_list", "lidar_misspelt_key", "cameras_misspelt_key",
             "density_oracle_misspelt_key", "fusion_misspelt_key", "icp_misspelt_key",
             "selective_misspelt_key", "selective_icp_misspelt_key", "field_name_alias",
+            "icp_not_an_object", "lidar_not_an_object", "selective_icp_not_an_object",
+            "corrupt_surfaces_a_string", "robot_pose_misspelt_key", "deviation_misspelt_key",
         ],
     )
     def test_malformed_input_exits_two_naming_file(self, tmp_path, name, edit, message):
@@ -539,6 +565,20 @@ class TestLocalizeOnce:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == f"error: {pose_path}: must hold a JSON object, not list\n"
+
+    def test_init_pose_rejects_an_unknown_field(self, tmp_path):
+        cfg_path = tiny_config(tmp_path)
+        scan_path = tmp_path / "scan.csv"
+        scan_path.write_text("x,y,z,class\n")
+        pose_path = tmp_path / "init.json"
+        pose_path.write_text(json.dumps({"translaton": [2.5, 2.5, 0.45], "yaw_deg": 3}))
+        proc = run_cli(
+            "localize-once", "--config", str(cfg_path), "--scan", str(scan_path),
+            "--init-pose", str(pose_path),
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {pose_path}: unknown field 'translaton'\n"
 
     @pytest.mark.parametrize(
         "variant, densities, message",

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from planloc import sensor_sim
 from planloc.geometry import RigidTransform, compose
 from planloc.model import BuildingModel, make_box_surface
 from planloc.sensor_sim import (
@@ -24,6 +25,7 @@ from planloc.sensor_sim import (
     render_density_image,
     write_density_pgm,
     write_scan_csv,
+    _raycast,
 )
 
 
@@ -39,6 +41,111 @@ COARSE_LIDAR = LidarSpec(
     max_range_m=30.0,
     range_noise_m=0.0,
 )
+
+
+def all_pairs_raycast(origin, dirs, triangles, chunk=2048):
+    """Reference for `_raycast`: every ray against every triangle,
+    Moller-Trumbore vectorized over ray chunks x all triangles."""
+    k = len(dirs)
+    best_t = np.full(k, np.inf)
+    best_tri = np.full(k, -1, dtype=np.int64)
+    if len(triangles) == 0 or k == 0:
+        return best_t, best_tri
+    v0 = triangles[:, 0]
+    e1 = triangles[:, 1] - v0
+    e2 = triangles[:, 2] - v0
+    for start in range(0, k, chunk):
+        d = dirs[start : start + chunk]  # (C, 3)
+        pvec = np.cross(d[:, None, :], e2[None, :, :])  # (C, M, 3)
+        det = np.einsum("mj,cmj->cm", e1, pvec)
+        ok = np.abs(det) > 1e-12
+        inv_det = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
+        tvec = origin - v0  # (M, 3)
+        u = np.einsum("mj,cmj->cm", tvec, pvec) * inv_det
+        ok &= (u >= -1e-12) & (u <= 1.0 + 1e-12)
+        qvec = np.cross(tvec, e1)  # (M, 3)
+        v = np.einsum("cj,mj->cm", d, qvec) * inv_det
+        ok &= (v >= -1e-12) & (u + v <= 1.0 + 1e-12)
+        t = np.einsum("mj,mj->m", e2, qvec)[None, :] * inv_det
+        ok &= t > 1e-9
+        t = np.where(ok, t, np.inf)
+        tri = np.argmin(t, axis=1)
+        tmin = t[np.arange(len(d)), tri]
+        hit = np.isfinite(tmin)
+        sl = slice(start, start + len(d))
+        best_t[sl] = np.where(hit, tmin, np.inf)
+        best_tri[sl] = np.where(hit, tri, -1)
+    return best_t, best_tri
+
+
+def unit_rows(rng, n):
+    d = rng.standard_normal((n, 3))
+    return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
+def triangle_soup(rng, n, extent=10.0):
+    """`n` triangles of sizes from 1 cm to 5 m scattered in a cube."""
+    centres = rng.uniform(-extent, extent, (n, 1, 3))
+    sizes = np.exp(rng.uniform(np.log(0.01), np.log(5.0), (n, 1, 1)))
+    return centres + sizes * rng.standard_normal((n, 3, 3))
+
+
+def raycast_cases():
+    """(origin, dirs, triangles) per named case for the broad-phase check."""
+    rng = np.random.default_rng(20)
+    cases = {}
+    for seed in range(3):
+        soup_rng = np.random.default_rng(seed)
+        cases[f"soup{seed}"] = (
+            soup_rng.uniform(-3, 3, 3), unit_rows(soup_rng, 2000), triangle_soup(soup_rng, 150)
+        )
+    lidar_dirs = LidarSpec(azimuth_step_deg=2.0).ray_directions()
+    cases["lidar_grid_in_soup"] = (np.zeros(3), lidar_dirs, triangle_soup(rng, 200, 6.0))
+    big = np.array([[[-5.0, -5.0, 0.2], [5.0, -5.0, 0.2], [0.0, 5.0, 0.2]]])
+    cases["origin_inside_bounding_sphere"] = (
+        np.zeros(3), unit_rows(rng, 2000), np.concatenate([big, triangle_soup(rng, 50, 4.0)])
+    )
+    behind = triangle_soup(rng, 60, 3.0)
+    behind[..., 0] -= 8.0
+    forward = unit_rows(rng, 1000)
+    forward[:, 0] = np.abs(forward[:, 0])
+    cases["triangles_behind_origin"] = (np.zeros(3), forward, behind)
+    soup = triangle_soup(rng, 40, 4.0)
+    cases["duplicated_triangles"] = (
+        np.zeros(3), unit_rows(rng, 2000), np.concatenate([soup, soup[::-1], soup])
+    )
+    # a hexagonal fan at x = 2: six triangles share the centre, neighbours an edge
+    ring = np.deg2rad(np.arange(0, 360, 60))
+    rim = np.stack([np.full(6, 2.0), np.cos(ring), np.sin(ring)], axis=1)
+    centre = np.array([2.0, 0.0, 0.0])
+    fan = np.stack([np.repeat(centre[None], 6, 0), rim, np.roll(rim, -1, 0)], axis=1)
+    targets = np.concatenate([[centre], rim, (rim + np.roll(rim, -1, 0)) / 2, (rim + centre) / 2])
+    cases["shared_edges_and_vertices"] = (
+        np.zeros(3), targets / np.linalg.norm(targets, axis=1, keepdims=True), fan
+    )
+    flat = np.array([[[3.0, -1.0, 0.0], [3.0, 0.0, 0.0], [3.0, 1.0, 0.0]]])
+    cases["zero_area_triangle"] = (
+        np.zeros(3),
+        np.concatenate([[[1.0, 0.0, 0.0]], unit_rows(rng, 500)]),
+        np.concatenate([flat, triangle_soup(rng, 20, 4.0)]),
+    )
+    ceiling = np.array([[[-9.0, -9.0, 2.5], [9.0, -9.0, 2.5], [0.0, 9.0, 2.5]]])
+    floor = ceiling * [1.0, 1.0, -0.2]
+    tilt = np.deg2rad(np.linspace(0.0, 12.0, 25))
+    az = np.deg2rad(np.linspace(-180.0, 180.0, 25))
+    cap = np.stack([np.sin(tilt)[:, None] * np.cos(az), np.sin(tilt)[:, None] * np.sin(az),
+                    np.repeat(np.cos(tilt)[:, None], 25, 1)], axis=-1).reshape(-1, 3)
+    cases["straight_up_and_down"] = (
+        np.zeros(3),
+        np.concatenate([[[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], cap, cap * [1, 1, -1]]),
+        np.concatenate([ceiling, floor, triangle_soup(rng, 30, 4.0)]),
+    )
+    cases["empty_scene"] = (np.zeros(3), unit_rows(rng, 100), np.zeros((0, 3, 3)))
+    cases["zero_rays"] = (np.zeros(3), np.zeros((0, 3)), triangle_soup(rng, 10))
+    return cases
+
+
+RAYCAST_CASES = raycast_cases()
 
 
 class TestRaycast:
@@ -122,6 +229,28 @@ class TestRaycast:
         y_t0 = hit_t0.points[hit_t0.classes == "actor", 1].mean()
         y_t2 = hit_t2.points[hit_t2.classes == "actor", 1].mean()
         assert y_t2 - y_t0 == pytest.approx(2.0, abs=0.3)
+
+    @pytest.mark.parametrize("group_pairs", [1, sensor_sim._GROUP_PAIRS], ids=["cells", "merged"])
+    @pytest.mark.parametrize("case", list(RAYCAST_CASES))
+    def test_broad_phase_matches_all_pairs(self, case, group_pairs, monkeypatch):
+        monkeypatch.setattr(sensor_sim, "_GROUP_PAIRS", group_pairs)
+        origin, dirs, triangles = RAYCAST_CASES[case]
+        t, tri = _raycast(origin, dirs, triangles)
+        ref_t, ref_tri = all_pairs_raycast(origin, dirs, triangles)
+        assert t.tobytes() == ref_t.tobytes()
+        np.testing.assert_array_equal(tri, ref_tri)
+
+    def test_lowest_index_wins_a_tie(self):
+        origin, dirs, triangles = RAYCAST_CASES["duplicated_triangles"]
+        t, tri = _raycast(origin, dirs, triangles)
+        assert np.isfinite(t).sum() > 100
+        assert tri.max() < len(triangles) // 3
+
+    def test_rays_through_shared_edges_and_vertices_hit(self):
+        origin, dirs, triangles = RAYCAST_CASES["shared_edges_and_vertices"]
+        t, tri = _raycast(origin, dirs, triangles)
+        assert np.isfinite(t).all()
+        np.testing.assert_allclose(t * dirs[:, 0], 2.0, atol=1e-12)
 
 
 class TestPrism:
