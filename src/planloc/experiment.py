@@ -93,6 +93,18 @@ def _json_object(path: Path) -> dict:
     return doc
 
 
+def _at(where: str) -> str:
+    """Message prefix naming a place in an input file; "" for its top level."""
+    return f"{where}: " if where else ""
+
+
+def _known_fields(obj: dict, known, where: str = "") -> None:
+    """Raise on a key of `obj` not in `known`, naming it and `where`."""
+    for key in obj:
+        if key not in known:
+            raise ValueError(f"{_at(where)}unknown field '{key}'")
+
+
 _POSE_KEYS = ("translation", "yaw_deg", "quaternion")
 
 
@@ -100,13 +112,11 @@ def _pose_from_obj(obj: dict, where: str, extra: tuple[str, ...] = ()) -> RigidT
     """A config pose: `translation` plus `yaw_deg` or `quaternion`; the
     `extra` keys are the caller's to read, and any other key raises."""
     if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected an object")
-    for key in obj:
-        if key not in _POSE_KEYS and key not in extra:
-            raise ConfigError(f"{where}: unknown field '{key}'")
+        raise ValueError(f"{_at(where)}expected an object")
+    _known_fields(obj, _POSE_KEYS + extra, where)
     translation = obj.get("translation", [0.0, 0.0, 0.0])
     if "quaternion" in obj and "yaw_deg" in obj:
-        raise ConfigError(f"{where}: give either quaternion or yaw_deg, not both")
+        raise ValueError(f"{_at(where)}give either quaternion or yaw_deg, not both")
     if "quaternion" in obj:
         return RigidTransform.from_quat(obj["quaternion"], translation)
     yaw = np.deg2rad(float(obj.get("yaw_deg", 0.0)))
@@ -123,7 +133,7 @@ def _parse_pose(path: Path) -> RigidTransform:
     doc = _json_object(path)
     if "r" in doc and "t" in doc:
         return RigidTransform(np.array(doc["r"]).reshape(3, 3), doc["t"])
-    return _pose_from_obj(doc, str(path))
+    return _pose_from_obj(doc, "")
 
 
 @dataclass(frozen=True)
@@ -157,7 +167,9 @@ class ExperimentConfig:
             raise ValueError("n_scans and n_executions must be >= 1")
 
 
-def _clutter_surface(defn: dict):
+def _clutter_surface(defn: dict, where: str, extra: tuple[str, ...] = ()):
+    """A clutter box; the `extra` keys are the caller's to read."""
+    _known_fields(defn, ("id", "center", "size", "yaw_deg") + extra, where)
     return make_box_surface(
         defn["id"],
         center=defn["center"],
@@ -175,6 +187,14 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     ConfigError naming that file."""
     return _checked(Path(path), lambda path: _parse_config(path, overrides or {}))
 
+
+# Top-level config keys; the settings sections, poses and entries check their own.
+_CONFIG_KEYS = (
+    "schema", "floorplan", "references", "deviation", "clutter", "actors",
+    "lidar", "cameras", "prism", "density_oracle", "fusion", "icp", "selective",
+    "map_density_per_m2", "robot_pose", "initial_pose",
+    "n_scans", "n_executions", "seed", "out_dir", "scan_period_s",
+)
 
 # Config keys spelt otherwise than the spec field they set, by field name.
 _CONFIG_KEY = {
@@ -205,9 +225,7 @@ def _spec(build, section: str, obj: dict, special: tuple[str, ...] = (), **fixed
         for name in inspect.signature(build).parameters
         if name not in fixed
     }
-    for key in obj:
-        if key not in fields and key not in special:
-            raise ValueError(f"{section}: unknown field '{key}'")
+    _known_fields(obj, (*fields, *special), section)
     return build(**fixed, **{fields[k]: v for k, v in obj.items() if k in fields})
 
 
@@ -215,6 +233,7 @@ def _parse_config(path: Path, overrides: dict) -> ExperimentConfig:
     doc = _json_object(path)
     if doc.get("schema") != 1:
         raise ConfigError(f"{path}: field 'schema' must be 1")
+    _known_fields(doc, _CONFIG_KEYS)
     base = path.parent
     lidar_doc = _section(doc, "lidar")
     rings = np.linspace(
@@ -256,28 +275,30 @@ def _parse_config(path: Path, overrides: dict) -> ExperimentConfig:
     deviations = tuple(
         Deviation(
             surface_ids=tuple(d["surfaces"]),
-            offset=_pose_from_obj(d, f"{path}: deviation[{i}]", ("surfaces",)),
+            offset=_pose_from_obj(d, f"deviation[{i}]", ("surfaces",)),
         )
         for i, d in enumerate(doc.get("deviation", []))
     )
     scene = Scene(
         as_built=apply_deviation(plan, deviations),
-        clutter=tuple(_clutter_surface(d) for d in doc.get("clutter", [])),
+        clutter=tuple(
+            _clutter_surface(d, f"clutter[{i}]") for i, d in enumerate(doc.get("clutter", []))
+        ),
         actors=tuple(
             Actor(
-                surface=_clutter_surface(d),
+                surface=_clutter_surface(d, f"actors[{i}]", ("velocity",)),
                 trajectory=LinearTrajectory(tuple(d.get("velocity", (0.0, 0.0, 0.0)))),
             )
-            for d in doc.get("actors", [])
+            for i, d in enumerate(doc.get("actors", []))
         ),
     )
-    robot_pose = _pose_from_obj(doc["robot_pose"], f"{path}: robot_pose")
+    robot_pose = _pose_from_obj(doc["robot_pose"], "robot_pose")
     initial_pose = (
-        _pose_from_obj(doc["initial_pose"], f"{path}: initial_pose")
+        _pose_from_obj(doc["initial_pose"], "initial_pose")
         if "initial_pose" in doc
         else robot_pose
     )
-    prism = PrismSpec(offset=np.asarray(_section(doc, "prism").get("offset", [0.0, 0.0, 0.3])))
+    prism = _spec(PrismSpec, "prism", _section(doc, "prism"))
     return ExperimentConfig(
         plan=plan,
         references=references,

@@ -7,8 +7,13 @@ The ICP objective is
 
 where m_i is the nearest map point to the transformed scan point, n(m_i) its
 surface normal, w_i the per-point scan weight, and c a squared or Huber cost.
-Each iteration solves one iteratively-reweighted Gauss-Newton step over a
-left-multiplied twist increment (rotation via the exponential map).
+Each iteration re-matches and takes one step over a left-multiplied twist
+increment (rotation via the exponential map). With the squared kernel it is
+the Gauss-Newton step. With the Huber kernel it is a Newton step of the Huber
+cost (gradient of the clipped residuals, Hessian of the inliers), taken when
+that Hessian has full rank and no residual is predicted to move by more than
+the Huber scale; otherwise it is the iteratively-reweighted (IRLS)
+Gauss-Newton step, which converges only linearly under a tight scale.
 
 Selective localization first aligns against the full building map, then
 refines against the task-reference map only, and rejects the refinement when
@@ -37,6 +42,8 @@ class FailureReason(str, enum.Enum):
     SELECTIVE_ICP_DIVERGED = "selective_icp_diverged"
     TOO_FEW_REFERENCE_MATCHES = "too_few_reference_matches"
     REJECTED_INCONSISTENT = "rejected_inconsistent"
+    FULL_ICP_BUDGET_EXHAUSTED = "full_icp_budget_exhausted"
+    SELECTIVE_ICP_BUDGET_EXHAUSTED = "selective_icp_budget_exhausted"
 
 
 @dataclass(frozen=True)
@@ -70,6 +77,8 @@ class IcpResult:
     iterations: int
     residual_rms_m: float  # weighted RMS of point-to-plane residuals
     correspondences: int  # matched points with weight > 0 at the last iteration
+    # ran all max_iterations without its robust cost rising on the last one
+    budget_exhausted: bool = False
 
 
 @dataclass(frozen=True)
@@ -104,8 +113,14 @@ class LocalizationResult:
     @classmethod
     def from_full_icp(cls, res: IcpResult) -> LocalizationResult:
         """The full-map method's outcome: the stage's pose when it converged."""
-        failure = None if res.converged else FailureReason.FULL_ICP_DIVERGED
-        return cls(res.transform if res.converged else None, failure, res, None)
+        if res.converged:
+            return cls(res.transform, None, res, None)
+        failure = (
+            FailureReason.FULL_ICP_BUDGET_EXHAUSTED
+            if res.budget_exhausted
+            else FailureReason.FULL_ICP_DIVERGED
+        )
+        return cls(None, failure, res, None)
 
     @property
     def localized(self) -> bool:
@@ -180,6 +195,32 @@ def gauss_newton_step(
     return step
 
 
+def huber_newton_step(
+    points: np.ndarray,
+    matched_normals: np.ndarray,
+    weights: np.ndarray,
+    residuals: np.ndarray,
+    scale: float,
+) -> np.ndarray | None:
+    """Newton increment of the Huber cost for fixed correspondences, or None
+    when it cannot be trusted.
+
+    Gradient Jᵀ(w·clip(r, ±scale)); Hessian Σ w·JᵀJ over the inliers
+    (|r| ≤ scale) alone. The step is taken only when that Hessian has full
+    rank (else the solve drops the gradient outside its range and stalls
+    above the minimum) and no residual is predicted to move by more than
+    `scale` (else the inlier set it was built from no longer holds).
+    """
+    jac = residual_jacobian(points, matched_normals)
+    inlier_w = np.where(np.abs(residuals) <= scale, weights, 0.0)
+    h = (jac * inlier_w[:, None]).T @ jac
+    g = jac.T @ (weights * np.clip(residuals, -scale, scale))
+    step, _, rank, _ = np.linalg.lstsq(h, -g, rcond=None)
+    if rank < 6 or np.abs(jac @ step).max() > scale:
+        return None
+    return step
+
+
 def point_to_plane_icp(
     scan: Scan,
     map_index: MapIndex,
@@ -190,8 +231,9 @@ def point_to_plane_icp(
 
     Correspondences are nearest map points within the gating distance;
     convergence means the last increment fell below both epsilon thresholds
-    while at least `min_correspondences` weighted matches were active.
-    Never raises on divergence or starvation; inspect `converged`.
+    while at least `min_correspondences` weighted matches were active. One
+    map query per iteration. Never raises on divergence or starvation;
+    inspect `converged` and `budget_exhausted`.
     """
     points = scan.points
     weights = scan.weights if scan.weights is not None else np.ones(len(points))
@@ -203,6 +245,7 @@ def point_to_plane_icp(
     positive = weights > 0
     map_points = map_index.cloud.points
     map_normals = map_index.cloud.normals
+    cost = math.inf
     for iteration in range(1, cfg.max_iterations + 1):
         world = transform.apply(points)
         idx, valid = map_index.query(world, cfg.max_correspondence_m)
@@ -215,15 +258,25 @@ def point_to_plane_icp(
         nrm = map_normals[idx[active]]
         w = weights[active]
         residuals = np.einsum("ij,ij->i", p - m, nrm)
-        irls = _kernel_weights(residuals, cfg.kernel, cfg.huber_scale_m)
-        step = gauss_newton_step(p, m, nrm, w * irls)
+        step = (
+            huber_newton_step(p, nrm, w, residuals, cfg.huber_scale_m)
+            if cfg.kernel == "huber"
+            else None
+        )
+        if step is None:
+            irls = _kernel_weights(residuals, cfg.kernel, cfg.huber_scale_m)
+            step = gauss_newton_step(p, m, nrm, w * irls)
         w_sum = float(w.sum())
         residual_rms = math.sqrt(float((w * residuals**2).sum()) / w_sum)
+        prev_cost = cost
+        cost = float((w * kernel_cost(residuals, cfg.kernel, cfg.huber_scale_m)).sum())
         omega, v = step[:3], step[3:]
         transform = compose(RigidTransform(rotvec_to_matrix(omega), v), transform)
         if np.linalg.norm(v) < cfg.translation_eps_m and np.linalg.norm(omega) < cfg.rotation_eps_rad:
             return IcpResult(transform, True, iteration, residual_rms, n_corr)
-    return IcpResult(transform, False, cfg.max_iterations, residual_rms, n_corr)
+    return IcpResult(
+        transform, False, cfg.max_iterations, residual_rms, n_corr, budget_exhausted=cost <= prev_cost
+    )
 
 
 def pose_to_plane_cost(
@@ -271,11 +324,12 @@ def selective_localize(
         return LocalizationResult.from_full_icp(full_res)
     sel_res = point_to_plane_icp(scan, ref_map, full_res.transform, cfg.selective_icp)
     if not sel_res.converged:
-        reason = (
-            FailureReason.TOO_FEW_REFERENCE_MATCHES
-            if sel_res.correspondences < cfg.selective_icp.min_correspondences
-            else FailureReason.SELECTIVE_ICP_DIVERGED
-        )
+        if sel_res.correspondences < cfg.selective_icp.min_correspondences:
+            reason = FailureReason.TOO_FEW_REFERENCE_MATCHES
+        elif sel_res.budget_exhausted:
+            reason = FailureReason.SELECTIVE_ICP_BUDGET_EXHAUSTED
+        else:
+            reason = FailureReason.SELECTIVE_ICP_DIVERGED
         return LocalizationResult(None, reason, full_res, sel_res)
     delta = pose_delta(sel_res.transform, full_res.transform)
     if (
@@ -330,8 +384,19 @@ def localize(
 
 
 def result_record(result: LocalizationResult, icp_method: str, scan_method: str) -> dict:
-    """JSON-serializable record of one localization outcome."""
-    stage = result.selective_icp if result.selective_icp is not None else result.full_icp
+    """JSON-serializable record of one localization outcome. The top-level
+    `iterations`, `residual_m` and `matches` are the last stage run's;
+    `stages` holds them for every stage run, full-map stage first."""
+    stages = [
+        {
+            "iterations": stage.iterations,
+            "matches": stage.correspondences,
+            "residual_m": float(stage.residual_rms_m),
+        }
+        for stage in (result.full_icp, result.selective_icp)
+        if stage is not None
+    ]
+    last = stages[-1] if stages else {"iterations": 0, "matches": 0, "residual_m": 0.0}
     record = {
         "method": {"icp": icp_method, "scan": scan_method},
         "outcome": "localized" if result.localized else "failed",
@@ -343,9 +408,10 @@ def result_record(result: LocalizationResult, icp_method: str, scan_method: str)
             if result.localized
             else None
         ),
-        "iterations": stage.iterations if stage is not None else 0,
-        "residual_m": float(stage.residual_rms_m) if stage is not None else 0.0,
-        "matches": stage.correspondences if stage is not None else 0,
+        "iterations": last["iterations"],
+        "residual_m": last["residual_m"],
+        "matches": last["matches"],
+        "stages": stages,
     }
     if not result.localized:
         record["failure_reason"] = result.failure_reason.value

@@ -122,7 +122,7 @@ def default_camera_rig(
 class PrismSpec:
     """Survey-prism mounting offset in the robot body frame."""
 
-    offset: np.ndarray  # (3,) meters
+    offset: np.ndarray = (0.0, 0.0, 0.3)  # (3,) meters
 
     def __post_init__(self):
         off = np.array(self.offset, dtype=np.float64).reshape(3)

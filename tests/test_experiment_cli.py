@@ -268,6 +268,27 @@ class TestBuildScene:
                 ]},
                 "deviation[0]: unknown field 'yaw'",
             ),
+            ("exp.json", lambda d: {**d, "n_scan": 2}, "unknown field 'n_scan'"),
+            (
+                "exp.json",
+                lambda d: {**d, "clutter": [
+                    {"id": "box", "center": [1.0, 1.0, 0.5], "size": [0.5, 0.5, 1.0], "yaw": 45}
+                ]},
+                "clutter[0]: unknown field 'yaw'",
+            ),
+            (
+                "exp.json",
+                lambda d: {**d, "actors": [{
+                    "id": "worker", "center": [1.0, 1.0, 0.9], "size": [0.4, 0.4, 1.8],
+                    "velocity": [0.2, 0.0, 0.0], "yaw": 45,
+                }]},
+                "actors[0]: unknown field 'yaw'",
+            ),
+            (
+                "exp.json",
+                lambda d: {**d, "prism": {"offest": [0.1, 0.0, 0.4]}},
+                "prism: unknown field 'offest'",
+            ),
         ],
         ids=[
             "clutter_without_size", "actor_without_id", "floorplan_without_walls",
@@ -277,6 +298,8 @@ class TestBuildScene:
             "selective_misspelt_key", "selective_icp_misspelt_key", "field_name_alias",
             "icp_not_an_object", "lidar_not_an_object", "selective_icp_not_an_object",
             "corrupt_surfaces_a_string", "robot_pose_misspelt_key", "deviation_misspelt_key",
+            "top_level_misspelt_key", "clutter_misspelt_key", "actor_misspelt_key",
+            "prism_misspelt_key",
         ],
     )
     def test_malformed_input_exits_two_naming_file(self, tmp_path, name, edit, message):

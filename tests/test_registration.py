@@ -1,16 +1,23 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
+from planloc.experiment import assemble_scene, load_config
 from planloc.fusion import Scan, weights_linear
 from planloc.geometry import RigidTransform, compose, invert, pose_delta, rotvec_to_matrix
-from planloc.model import MapCloud, sample_model
+from planloc.model import MapCloud, make_box_surface, sample_model
 from planloc.registration import (
     FailureReason,
     IcpConfig,
+    IcpResult,
     LocalizationResult,
     MapIndex,
     SelectiveConfig,
+    _kernel_weights,
     gauss_newton_step,
+    huber_newton_step,
     localize,
     point_to_plane_icp,
     pose_to_plane_cost,
@@ -21,6 +28,7 @@ from planloc.registration import (
 from planloc.sensor_sim import LidarSpec, Scene, raycast_scan
 
 from conftest import random_rotvec
+from test_acceptance import deviation_config
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +56,59 @@ def scan_from_map(cloud: MapCloud, pose: RigidTransform, n: int, seed: int) -> S
     rng = np.random.default_rng(seed)
     pick = rng.choice(len(cloud), size=n, replace=False)
     return Scan(points=invert(pose).apply(cloud.points[pick]))
+
+
+def irls_icp(scan: Scan, map_index: MapIndex, init: RigidTransform, cfg: IcpConfig) -> IcpResult:
+    """Reference solver: point_to_plane_icp as it was before the Huber-Newton
+    step, one iteratively-reweighted Gauss-Newton step per iteration for
+    either kernel. Same fixed points; under a tight Huber scale it gets there
+    only linearly."""
+    points = scan.points
+    weights = scan.weights if scan.weights is not None else np.ones(len(points))
+    transform = init
+    residual_rms = 0.0
+    n_corr = 0
+    positive = weights > 0
+    for iteration in range(1, cfg.max_iterations + 1):
+        world = transform.apply(points)
+        idx, valid = map_index.query(world, cfg.max_correspondence_m)
+        active = valid & positive
+        n_corr = int(active.sum())
+        if n_corr < cfg.min_correspondences:
+            return IcpResult(transform, False, iteration, residual_rms, n_corr)
+        p = world[active]
+        m = map_index.cloud.points[idx[active]]
+        nrm = map_index.cloud.normals[idx[active]]
+        w = weights[active]
+        residuals = np.einsum("ij,ij->i", p - m, nrm)
+        irls = _kernel_weights(residuals, cfg.kernel, cfg.huber_scale_m)
+        step = gauss_newton_step(p, m, nrm, w * irls)
+        residual_rms = math.sqrt(float((w * residuals**2).sum()) / float(w.sum()))
+        omega, v = step[:3], step[3:]
+        transform = compose(RigidTransform(rotvec_to_matrix(omega), v), transform)
+        if np.linalg.norm(v) < cfg.translation_eps_m and np.linalg.norm(omega) < cfg.rotation_eps_rad:
+            return IcpResult(transform, True, iteration, residual_rms, n_corr)
+    return IcpResult(transform, False, cfg.max_iterations, residual_rms, n_corr)
+
+
+def run_to_fixed_point(cfg: IcpConfig) -> IcpConfig:
+    """`cfg` run far past its stop criteria, for the reference solver."""
+    return dataclasses.replace(
+        cfg, max_iterations=200, translation_eps_m=1e-7, rotation_eps_rad=1e-8
+    )
+
+
+def assert_same_pose(a: RigidTransform, b: RigidTransform) -> None:
+    d = pose_delta(a, b)
+    assert d.translation_norm < 1e-3 and d.rotation_angle < 1e-4, (
+        f"{d.translation_norm * 1e3:.3f} mm, {d.rotation_angle * 1e3:.3f} mrad apart"
+    )
+
+
+def huber_cost(scan: Scan, map_index: MapIndex, pose: RigidTransform, cfg: IcpConfig) -> float:
+    return pose_to_plane_cost(
+        scan, map_index, pose, "huber", cfg.huber_scale_m, cfg.max_correspondence_m
+    )
 
 
 class TestMapIndex:
@@ -190,6 +251,174 @@ class TestIcp:
         assert np.max(np.abs(plain.transform.translation - weighted.transform.translation)) < 1e-9
 
 
+# The paper's set-up in the test room: far wall 0.3 m off the plan, two boxes
+# and a person standing in the room, range noise, a start 6 cm / 1 deg off.
+CLUTTER_LIDAR = LidarSpec(
+    ring_elevations_deg=tuple(np.linspace(-15, 15, 16)), azimuth_step_deg=2.0, range_noise_m=0.01
+)
+REF_STAGE = IcpConfig(max_correspondence_m=0.35, huber_scale_m=0.015)
+
+
+@pytest.fixture(scope="module")
+def cluttered_room(deviated_room, room_cloud):
+    """(scan, reference map, start pose) in the deviated, cluttered room."""
+    clutter = (
+        make_box_surface("box_1", center=[4.5, 1.5, 0.5], size=[0.8, 0.6, 1.0],
+                         yaw_rad=np.deg2rad(20.0)),
+        make_box_surface("box_2", center=[1.2, 4.6, 0.4], size=[0.6, 0.6, 0.8]),
+        make_box_surface("worker", center=[4.0, 4.5, 0.9], size=[0.5, 0.4, 1.8]),
+    )
+    scene = Scene(as_built=deviated_room[1], clutter=clutter)
+    pose = RigidTransform(np.eye(3), [3.0, 2.6, 0.45])
+    scan = Scan(raycast_scan(scene, pose, CLUTTER_LIDAR, seed=11).points)
+    start = RigidTransform.from_rotvec([0, 0, np.deg2rad(1.0)], [3.05, 2.56, 0.45])
+    return scan, MapIndex(room_cloud.subset(["floor", "wall_a", "wall_b"])), start
+
+
+@pytest.fixture(scope="module")
+def c4_frame(tmp_path_factory):
+    """(scan, maps, config) of the first frame of acceptance criterion 4."""
+    cfg = load_config(deviation_config(tmp_path_factory.mktemp("c4")))
+    scan = raycast_scan(cfg.scene, cfg.robot_pose, cfg.lidar, seed=cfg.seed)
+    return scan, assemble_scene(cfg), cfg
+
+
+class TestHuberNewton:
+    """point_to_plane_icp against irls_icp, the solver it replaced."""
+
+    def _check_stages(self, scan, stages, start):
+        """Run each (map, config) stage from the previous one's pose; each
+        must land where the reference run to its fixed point lands."""
+        results = []
+        for map_index, cfg in stages:
+            res = point_to_plane_icp(scan, map_index, start, cfg)
+            ref = irls_icp(scan, map_index, start, run_to_fixed_point(cfg))
+            assert res.converged and ref.converged
+            assert_same_pose(res.transform, ref.transform)
+            results.append((res, ref))
+            start = res.transform
+        return results
+
+    def test_stages_match_reference_in_cluttered_room(self, cluttered_room, room_index):
+        scan, ref_map, start = cluttered_room
+        self._check_stages(scan, [(room_index, IcpConfig()), (ref_map, REF_STAGE)], start)
+
+    def test_stages_match_reference_on_c4_frame(self, c4_frame):
+        scan, maps, cfg = c4_frame
+        stages = [(maps.full_map, cfg.selective.full_icp), (maps.ref_map, cfg.selective.selective_icp)]
+        self._check_stages(scan, stages, cfg.initial_pose)
+
+    def test_c4_full_stage_ends_at_reference_cost(self, c4_frame):
+        # the inlier Hessian is rank-deficient on the way; a Newton step
+        # taken there drops the gradient outside its range and stalls ~30 %
+        # above the minimum
+        scan, maps, cfg = c4_frame
+        full_cfg = cfg.selective.full_icp
+        res = point_to_plane_icp(scan, maps.full_map, cfg.initial_pose, full_cfg)
+        ref = irls_icp(scan, maps.full_map, cfg.initial_pose, run_to_fixed_point(full_cfg))
+        ref_cost = huber_cost(scan, maps.full_map, ref.transform, full_cfg)
+        assert huber_cost(scan, maps.full_map, res.transform, full_cfg) <= ref_cost * (1 + 1e-6)
+
+    def test_reference_stage_converges_in_few_iterations(self, cluttered_room, room_index):
+        # the IRLS step alone needs 34 iterations here
+        scan, ref_map, start = cluttered_room
+        full = point_to_plane_icp(scan, room_index, start)
+        res = point_to_plane_icp(scan, ref_map, full.transform, REF_STAGE)
+        assert res.converged
+        assert res.iterations <= 15
+
+    def test_one_map_query_per_iteration(self, cluttered_room, room_index, monkeypatch):
+        scan, ref_map, start = cluttered_room
+        calls = []
+        query = MapIndex.query
+        monkeypatch.setattr(MapIndex, "query", lambda self, *a: calls.append(1) or query(self, *a))
+        res = point_to_plane_icp(scan, ref_map, start, REF_STAGE)
+        assert res.iterations > 1 and len(calls) == res.iterations
+
+    def test_squared_kernel_is_bit_identical(self, cluttered_room, room_index, c4_frame):
+        scan, ref_map, start = cluttered_room
+        rng = np.random.default_rng(18)
+        weighted = Scan(points=scan.points, weights=rng.uniform(0.0, 1.0, len(scan)))
+        squared = IcpConfig(kernel="squared")
+        c4_scan, maps, cfg = c4_frame
+        runs = [
+            (scan, room_index, start, squared),
+            (weighted, room_index, start, squared),
+            (scan, ref_map, start, dataclasses.replace(REF_STAGE, kernel="squared")),
+            (c4_scan, maps.full_map, cfg.initial_pose, squared),
+        ]
+        for run in runs:
+            res, ref = point_to_plane_icp(*run), irls_icp(*run)
+            assert np.array_equal(res.transform.rotation, ref.transform.rotation)
+            assert np.array_equal(res.transform.translation, ref.transform.translation)
+            assert (res.converged, res.iterations, res.residual_rms_m, res.correspondences) == (
+                ref.converged, ref.iterations, ref.residual_rms_m, ref.correspondences
+            )
+
+
+class TestNewtonStep:
+    def _matches(self, room_cloud, n, seed, offsets):
+        """n map points moved off their surface by `offsets` along the normal."""
+        pick = np.random.default_rng(seed).choice(len(room_cloud), size=n, replace=False)
+        m, nrm = room_cloud.points[pick], room_cloud.normals[pick]
+        return m + offsets[:, None] * nrm, nrm, offsets
+
+    def test_equals_gauss_newton_when_all_residuals_are_inliers(self, room_cloud):
+        rng = np.random.default_rng(19)
+        p, nrm, r = self._matches(room_cloud, 400, 19, rng.uniform(-0.01, 0.01, 400))
+        w = rng.uniform(0.1, 1.0, 400)
+        step = huber_newton_step(p, nrm, w, r, 0.02)
+        np.testing.assert_allclose(step, gauss_newton_step(p, p - r[:, None] * nrm, nrm, w), atol=1e-12)
+
+    def test_refused_when_inlier_hessian_is_rank_deficient(self, room_cloud):
+        floor = room_cloud.subset(["floor"])
+        p, nrm, r = self._matches(floor, 200, 20, np.full(200, 0.01))
+        assert huber_newton_step(p, nrm, np.ones(200), r, 0.05) is None
+
+    def test_refused_outside_trust_region(self, room_cloud):
+        # a few inliers carry the Hessian, many outliers pull on the gradient
+        offsets = np.where(np.arange(600) < 60, 0.0, 0.3)
+        p, nrm, r = self._matches(room_cloud, 600, 21, offsets)
+        assert huber_newton_step(p, nrm, np.ones(600), r, 0.01) is None
+
+
+class TestBudget:
+    # from this start the match set grows on the second iteration, so the
+    # summed robust cost rises there
+    START = compose(ROBOT_POSE, RigidTransform.from_rotvec([0, 0, 0.3], [0.3, 0, 0]))
+
+    def _scan(self, room_cloud):
+        return scan_from_map(room_cloud, ROBOT_POSE, 500, seed=2)
+
+    def test_budget_exhausted_only_when_cost_did_not_rise(self, room_cloud, room_index):
+        scan = self._scan(room_cloud)
+        one = point_to_plane_icp(scan, room_index, self.START, IcpConfig(max_iterations=1))
+        two = point_to_plane_icp(scan, room_index, self.START, IcpConfig(max_iterations=2))
+        assert not one.converged and one.budget_exhausted
+        assert not two.converged and not two.budget_exhausted
+
+    def test_full_stage_failure_reasons(self, room_cloud, room_index):
+        scan = self._scan(room_cloud)
+        reasons = [
+            localize(
+                scan, room_index, None, self.START, ("full", "full"),
+                cfg=SelectiveConfig(full_icp=IcpConfig(max_iterations=k)),
+            ).failure_reason
+            for k in (1, 2)
+        ]
+        assert reasons == [
+            FailureReason.FULL_ICP_BUDGET_EXHAUSTED, FailureReason.FULL_ICP_DIVERGED
+        ]
+
+    def test_selective_stage_budget_exhausted(self, cluttered_room, room_index):
+        scan, ref_map, start = cluttered_room
+        # the stage needs 7 iterations; its cost falls from the third to the fourth
+        cfg = SelectiveConfig(selective_icp=dataclasses.replace(REF_STAGE, max_iterations=4))
+        res = selective_localize(scan, room_index, ref_map, start, cfg)
+        assert res.failure_reason is FailureReason.SELECTIVE_ICP_BUDGET_EXHAUSTED
+        assert res.full_icp.converged and res.selective_icp.iterations == 4
+
+
 class TestSelective:
     def _maps(self, room_cloud):
         full = MapIndex(room_cloud)
@@ -311,6 +540,26 @@ class TestResultRecord:
         assert len(record["transform"]["t"]) == 3
         assert "failure_reason" not in record
         assert record["matches"] > 0
+        stage = res.full_icp
+        assert record["stages"] == [
+            {"iterations": stage.iterations, "matches": stage.correspondences,
+             "residual_m": stage.residual_rms_m}
+        ]
+
+    def test_failed_second_stage_keeps_first_stage(self, cluttered_room, room_index):
+        scan, ref_map, start = cluttered_room
+        cfg = SelectiveConfig(selective_icp=dataclasses.replace(REF_STAGE, max_iterations=2))
+        res = selective_localize(scan, room_index, ref_map, start, cfg)
+        record = result_record(res, "selective", "full")
+        assert record["outcome"] == "failed"
+        full, sel = record["stages"]
+        assert (full["iterations"], full["matches"]) == (
+            res.full_icp.iterations, res.full_icp.correspondences
+        )
+        assert (sel["iterations"], sel["matches"], sel["residual_m"]) == (
+            record["iterations"], record["matches"], record["residual_m"]
+        )
+        assert sel["iterations"] == 2 and full["matches"] != sel["matches"]
 
     def test_failed_record(self, room_index):
         scan = Scan(points=np.full((40, 3), 90.0))
@@ -319,6 +568,7 @@ class TestResultRecord:
         assert record["outcome"] == "failed"
         assert record["transform"] is None
         assert record["failure_reason"] == "full_icp_diverged"
+        assert record["stages"] == [{"iterations": 1, "matches": 0, "residual_m": 0.0}]
 
     def test_exactly_one_outcome_enforced(self):
         with pytest.raises(ValueError):
