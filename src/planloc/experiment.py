@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import inspect
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -397,6 +399,11 @@ def localize_frame(
     )
 
 
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
 def run_execution(
     bundle: SceneBundle,
     cfg: ExperimentConfig,
@@ -406,7 +413,12 @@ def run_execution(
     """Simulate one execution's trial sequence and localize it under every
     requested method, one frame at a time. Trial seeds are `seed + execution * n_scans + trial`.
     Each scan variant X runs one localization per frame: selective × X when
-    requested, else full × X; full × X is the selective run's stage 1."""
+    requested, else full × X; full × X is the selective run's stage 1.
+
+    On more than one usable CPU, a frame's first localization runs on one
+    worker thread while this thread runs the others; each only reads the
+    frame's scans and the maps, so the records equal a sequential run. The
+    worker is joined before returning, also when a localization raises."""
     frames = iter_trial_sequence(
         bundle.scene,
         cfg.robot_pose,
@@ -419,31 +431,41 @@ def run_execution(
         period_s=cfg.scan_period_s,
     )
     needs_fusion = any(m[1] != "full" for m in methods)
+    runs: list[tuple[str, str]] = []  # the localizations run per frame, selective first
+    for method in sorted(methods, key=lambda m: m[0] != "selective"):
+        if method not in runs and ("selective", method[1]) not in runs:
+            runs.append(method)
+    concurrent = len(runs) > 1 and _usable_cpus() > 1
     records: dict[tuple[str, str], list[TrialRecord]] = {m: [] for m in methods}
-    for frame in frames:
-        fused_scan = fuse_frame(frame, cfg)[0] if needs_fusion else frame.scan
-        results: dict[tuple[str, str], LocalizationResult] = {}
-        for method in sorted(methods, key=lambda m: m[0] != "selective"):  # selective first
-            if method not in results:
-                scan = frame.scan if method[1] == "full" else fused_scan
-                res = results[method] = localize_frame(scan, bundle, cfg, cfg.initial_pose, method)
+    with ThreadPoolExecutor(max_workers=1) as worker:  # starts a thread on first submit
+        for frame in frames:
+            fused_scan = fuse_frame(frame, cfg)[0] if needs_fusion else frame.scan
+            jobs = [
+                (frame.scan if m[1] == "full" else fused_scan, bundle, cfg, cfg.initial_pose, m)
+                for m in runs
+            ]
+            if concurrent:
+                ahead = worker.submit(localize_frame, *jobs[0])
+                rest = [localize_frame(*job) for job in jobs[1:]]
+                done = [ahead.result(), *rest]
+            else:
+                done = [localize_frame(*job) for job in jobs]
+            results: dict[tuple[str, str], LocalizationResult] = {}
+            for method, res in zip(runs, done):
+                results[method] = res
                 results[("full", method[1])] = LocalizationResult.from_full_icp(res.full_icp)
-        for method in methods:
-            result = results[method]
-            est = (
-                prism_position(result.transform, cfg.prism)
-                if result.localized
-                else None
-            )
-            records[method].append(
-                TrialRecord(
-                    scan_index=frame.index,
-                    result=result,
-                    true_pose=frame.pose,
-                    true_prism=frame.prism,
-                    estimated_prism=est,
+            for method in methods:
+                result = results[method]
+                est = prism_position(result.transform, cfg.prism) if result.localized else None
+                records[method].append(
+                    TrialRecord(
+                        scan_index=frame.index,
+                        result=result,
+                        true_pose=frame.pose,
+                        true_prism=frame.prism,
+                        estimated_prism=est,
+                    )
                 )
-            )
     return records
 
 

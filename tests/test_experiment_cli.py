@@ -2,6 +2,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +21,14 @@ from planloc.experiment import (
 )
 from planloc.fusion import FusionConfig
 from planloc.geometry import compose
+from planloc.metrics import TrialRecord
 from planloc.model import load_model
-from planloc.registration import SCAN_METHODS, localize
+from planloc.registration import SCAN_METHODS, LocalizationResult, localize, result_record
 from planloc.sensor_sim import (
     Scan,
     generate_trial_sequence,
+    iter_trial_sequence,
+    prism_position,
     raycast_scan,
     read_scan_csv,
     render_density_image,
@@ -371,17 +375,31 @@ class TestRunMatrix:
         assert csv_a.read_bytes() != csv_b.read_bytes()
 
 
+@pytest.fixture
+def fast_thread_switching():
+    """Switch threads every 10 µs instead of every 5 ms, so the worker and
+    the calling thread interleave far more often than they do in a run."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
 class TestSharedStage:
     """full × X is taken from the full-map stage of the selective × X run."""
 
     @staticmethod
     def _count_calls(monkeypatch, names) -> dict:
         counts = dict.fromkeys(names, 0)
+        lock = threading.Lock()  # calls arrive from run_execution's worker thread too
         for name in names:
             original = getattr(registration, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
-                counts[_name] += 1
+                with lock:
+                    counts[_name] += 1
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(registration, name, counted)
@@ -417,9 +435,12 @@ class TestSharedStage:
             for field in ("iterations", "residual_rms_m", "correspondences"):
                 assert getattr(shared.full_icp, field) == getattr(direct.full_icp, field)
 
-    def test_matrix_runs_six_icp_and_two_weightings_per_frame(self, tmp_path, monkeypatch):
+    def test_matrix_runs_six_icp_and_two_weightings_per_frame(
+        self, tmp_path, monkeypatch, fast_thread_switching
+    ):
         cfg = load_config(tiny_config(tmp_path, n_scans=2))
         bundle = assemble_scene(cfg)
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)  # count from two threads
         counts = self._count_calls(
             monkeypatch, ("point_to_plane_icp", "weights_binary", "weights_linear")
         )
@@ -457,6 +478,126 @@ class TestOneFrameAtATime:
         run_execution(bundle, cfg, 0)
         # one localization per scan variant, right after its frame is simulated
         assert events == ["raycast_scan", "localize", "localize", "localize"] * 2
+
+
+def sequential_execution(bundle, cfg, execution, methods=METHOD_MATRIX):
+    """run_execution's per-frame loop with every localization on the calling
+    thread, one after another: the reference its records must equal."""
+    frames = iter_trial_sequence(
+        bundle.scene, cfg.robot_pose, cfg.n_scans, cfg.lidar, cfg.cameras, cfg.prism,
+        cfg.oracle, seed=cfg.seed + execution * cfg.n_scans, period_s=cfg.scan_period_s,
+    )
+    needs_fusion = any(m[1] != "full" for m in methods)
+    records = {m: [] for m in methods}
+    for frame in frames:
+        fused_scan = fuse_frame(frame, cfg)[0] if needs_fusion else frame.scan
+        results = {}
+        for method in sorted(methods, key=lambda m: m[0] != "selective"):  # selective first
+            if method not in results:
+                scan = frame.scan if method[1] == "full" else fused_scan
+                res = results[method] = experiment.localize_frame(
+                    scan, bundle, cfg, cfg.initial_pose, method
+                )
+                results[("full", method[1])] = LocalizationResult.from_full_icp(res.full_icp)
+        for method in methods:
+            result = results[method]
+            est = prism_position(result.transform, cfg.prism) if result.localized else None
+            records[method].append(
+                TrialRecord(frame.index, result, frame.pose, frame.prism, est)
+            )
+    return records
+
+
+def assert_records_equal(got, want):
+    assert list(got) == list(want)
+    for method in want:
+        assert len(got[method]) == len(want[method])
+        for a, b in zip(got[method], want[method]):
+            assert a.scan_index == b.scan_index
+            assert a.result.failure_reason == b.result.failure_reason
+            assert result_record(a.result, *method) == result_record(b.result, *method)
+            if b.result.localized:
+                for part in ("rotation", "translation"):
+                    got_bytes = getattr(a.result.transform, part).tobytes()
+                    assert got_bytes == getattr(b.result.transform, part).tobytes()
+                assert a.estimated_prism.tobytes() == b.estimated_prism.tobytes()
+
+
+def thread_log(monkeypatch, fail_on=None) -> list:
+    """Log the thread of every localize_frame call; with `fail_on` ("worker"
+    or "main") a call on that thread raises LookupError instead."""
+    calls = []
+    original = experiment.localize_frame
+
+    def logged(*args, **kwargs):
+        on_main = threading.current_thread() is threading.main_thread()
+        calls.append("main" if on_main else "worker")
+        if calls[-1] == fail_on:
+            raise LookupError(f"localization failed on the {fail_on} thread")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "localize_frame", logged)
+    return calls
+
+
+SELECTIVE_ONLY = [("selective", scan) for scan in SCAN_METHODS]
+
+
+class TestConcurrentLocalization:
+    """run_execution runs a frame's first localization on one worker thread."""
+
+    @pytest.mark.parametrize(
+        "methods", [METHOD_MATRIX, SELECTIVE_ONLY, [("full", "filtered")]],
+        ids=["matrix", "selective_only", "full_filtered"],
+    )
+    @pytest.mark.parametrize(
+        "extra", [{}, {"initial_pose": {"translation": [50.0, 50.0, 0.45]}}],
+        ids=["localized", "full_icp_diverged"],
+    )
+    def test_records_equal_sequential_loop(
+        self, tmp_path, monkeypatch, fast_thread_switching, methods, extra
+    ):
+        cfg = load_config(tiny_config(tmp_path, n_scans=2, **extra))
+        bundle = assemble_scene(cfg)
+        want = sequential_execution(bundle, cfg, 1, methods)
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+        calls = thread_log(monkeypatch)
+        before = threading.active_count()
+        got = run_execution(bundle, cfg, 1, methods)
+        assert threading.active_count() == before  # the worker was joined
+        assert_records_equal(got, want)
+        one_run = len(methods) == 1
+        assert calls.count("worker") == (0 if one_run else 2)  # one per frame
+        assert calls.count("main") == (2 if one_run else 4)
+        assert all(r.result.localized == (not extra) for recs in got.values() for r in recs)
+
+    @pytest.mark.parametrize("fail_on", ["worker", "main"])
+    def test_error_surfaces_from_run_matrix_and_joins_worker(
+        self, tmp_path, monkeypatch, fail_on
+    ):
+        cfg = load_config(tiny_config(tmp_path, n_scans=2))
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+        calls = thread_log(monkeypatch, fail_on=fail_on)
+        before = threading.active_count()
+        with pytest.raises(LookupError, match=f"on the {fail_on} thread"):
+            run_matrix(cfg)
+        assert threading.active_count() == before
+        assert calls.count(fail_on) == 1  # the first frame's call raised
+
+    def test_single_cpu_starts_no_thread(self, tmp_path, monkeypatch):
+        cfg = load_config(tiny_config(tmp_path, n_scans=2))
+        bundle = assemble_scene(cfg)
+        want = sequential_execution(bundle, cfg, 0)
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 1)
+
+        def no_start(thread):
+            raise AssertionError(f"started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", no_start)
+        calls = thread_log(monkeypatch)
+        got = run_execution(bundle, cfg, 0)
+        assert_records_equal(got, want)
+        assert calls == ["main"] * 6
 
 
 class TestLocalizeOnce:
