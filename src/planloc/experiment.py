@@ -54,7 +54,6 @@ from .sensor_sim import (
     DensityImage,
     DensityOracleParams,
     LidarSpec,
-    LinearTrajectory,
     PrismSpec,
     Scan,
     Scene,
@@ -218,17 +217,26 @@ def _section(doc: dict, key: str, name: str | None = None) -> dict:
     return obj
 
 
+def _setting(obj: dict, key: str, default, where: str = ""):
+    """`obj[key]`, or `default` when absent; a setting whose default is an
+    int (not a bool) must be a JSON integer, else this raises naming it."""
+    value = obj.get(key, default)
+    if type(default) is int and type(value) is not int:
+        raise ValueError(f"{_at(where)}{key}: expected an integer")
+    return value
+
+
 def _spec(build, section: str, obj: dict, special: tuple[str, ...] = (), **fixed):
     """`build(**fixed, **fields)` with the fields that config section `obj`
     sets; a field it omits keeps `build`'s own default. The `special` keys
     are the caller's to read; any other key that names no field raises."""
-    fields = {
-        _CONFIG_KEY.get(name, name): name
-        for name in inspect.signature(build).parameters
-        if name not in fixed
-    }
+    params = inspect.signature(build).parameters
+    fields = {_CONFIG_KEY.get(name, name): name for name in params if name not in fixed}
     _known_fields(obj, (*fields, *special), section)
-    return build(**fixed, **{fields[k]: v for k, v in obj.items() if k in fields})
+    values = {
+        fields[k]: _setting(obj, k, params[fields[k]].default, section) for k in obj if k in fields
+    }
+    return build(**fixed, **values)
 
 
 def _parse_config(path: Path, overrides: dict) -> ExperimentConfig:
@@ -241,7 +249,7 @@ def _parse_config(path: Path, overrides: dict) -> ExperimentConfig:
     rings = np.linspace(
         lidar_doc.get("elevation_min_deg", -15.0),
         lidar_doc.get("elevation_max_deg", 15.0),
-        lidar_doc.get("rings", 16),
+        _setting(lidar_doc, "rings", 16, "lidar"),
     )
     lidar = _spec(
         LidarSpec, "lidar", lidar_doc, ("rings", "elevation_min_deg", "elevation_max_deg"),
@@ -289,7 +297,7 @@ def _parse_config(path: Path, overrides: dict) -> ExperimentConfig:
         actors=tuple(
             Actor(
                 surface=_clutter_surface(d, f"actors[{i}]", ("velocity",)),
-                trajectory=LinearTrajectory(tuple(d.get("velocity", (0.0, 0.0, 0.0)))),
+                velocity=tuple(d.get("velocity", (0.0, 0.0, 0.0))),
             )
             for i, d in enumerate(doc.get("actors", []))
         ),
@@ -316,9 +324,9 @@ def _parse_config(path: Path, overrides: dict) -> ExperimentConfig:
         map_density_per_m2=float(doc.get("map_density_per_m2", 400.0)),
         robot_pose=robot_pose,
         initial_pose=initial_pose,
-        n_scans=int(doc.get("n_scans", 300)),
-        n_executions=int(doc.get("n_executions", 3)),
-        seed=int(overrides.get("seed", doc.get("seed", 0))),
+        n_scans=_setting(doc, "n_scans", 300),
+        n_executions=_setting(doc, "n_executions", 3),
+        seed=int(overrides.get("seed", _setting(doc, "seed", 0))),
         out_dir=Path(overrides.get("out_dir", base / doc.get("out_dir", "out"))),
         scan_period_s=float(doc.get("scan_period_s", 0.2)),
     )

@@ -1,5 +1,6 @@
 """Building models: triangulated surfaces, floorplan extrusion, reference
-subsets, deviation injection, point-map sampling, and named-group mesh I/O.
+subsets, deviation injection, point-map sampling, the floorplan and
+reference-set readers, and named-group mesh output.
 """
 
 from __future__ import annotations
@@ -34,18 +35,6 @@ class UnknownSurfaceIdError(ModelError):
 
 class InsufficientConstraintsError(ModelError):
     """Reference set lacks three pairwise non-parallel surfaces."""
-
-
-class ParseError(ModelError):
-    """Malformed mesh file; carries the offending line number."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-
-
-class MissingGroupNamesError(ModelError):
-    """Mesh file contains geometry without a named surface group."""
 
 
 def _triangle_normals_areas(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -155,10 +144,6 @@ class BuildingModel:
         keep = tuple(s for s in self.surfaces if s.id in set(wanted))
         return BuildingModel(keep)
 
-    @property
-    def total_area(self) -> float:
-        return float(sum(s.area for s in self.surfaces))
-
 
 @dataclass(frozen=True)
 class ReferenceSet:
@@ -233,7 +218,6 @@ class MapCloud:
     normals: np.ndarray  # (N, 3) unit
     surface_index: np.ndarray  # (N,) index into surface_ids
     surface_ids: tuple[str, ...]
-    sampling_density: float  # points per square meter
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -263,7 +247,6 @@ class MapCloud:
             self.normals[mask],
             self.surface_index[mask],
             self.surface_ids,
-            self.sampling_density,
         )
 
 
@@ -412,7 +395,7 @@ def sample_model(model: BuildingModel, density: float, seed=0) -> MapCloud:
     """
     if density <= 0:
         raise ValueError("sampling density must be > 0")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     pts, nrm, sidx = [], [], []
     for si, surface in enumerate(model.surfaces):
         areas = surface.areas
@@ -436,13 +419,12 @@ def sample_model(model: BuildingModel, density: float, seed=0) -> MapCloud:
         sidx.append(np.full(total, si, dtype=np.int32))
     if not pts:
         empty = np.zeros((0, 3))
-        return MapCloud(empty, empty, np.zeros(0, dtype=np.int32), model.surface_ids, density)
+        return MapCloud(empty, empty, np.zeros(0, dtype=np.int32), model.surface_ids)
     return MapCloud(
         np.concatenate(pts),
         np.concatenate(nrm),
         np.concatenate(sidx),
         model.surface_ids,
-        density,
     )
 
 
@@ -458,7 +440,7 @@ def apply_deviation(model: BuildingModel, deviations: Sequence[Deviation]) -> Bu
 
 
 # ---------------------------------------------------------------------------
-# Mesh I/O: OBJ-style text with one named group per surface
+# Mesh output: OBJ-style text with one named group per surface
 # ---------------------------------------------------------------------------
 
 
@@ -475,61 +457,6 @@ def save_model(model: BuildingModel, path) -> None:
             lines.append(f"f {base} {base + 1} {base + 2}")
         offset += len(verts)
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_model(path) -> BuildingModel:
-    """Parse a named-group mesh file written by save_model.
-
-    Raises ParseError (with line number) on malformed records and
-    MissingGroupNamesError when geometry appears outside a named group.
-    """
-    verts: list[np.ndarray] = []
-    groups: dict[str, list[tuple[int, int, int]]] = {}
-    order: list[str] = []
-    current: str | None = None
-    text = Path(path).read_text()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        kind = tokens[0]
-        if kind == "g":
-            if len(tokens) < 2:
-                raise MissingGroupNamesError(f"line {lineno}: group without a name")
-            current = tokens[1]
-            if current not in groups:
-                groups[current] = []
-                order.append(current)
-        elif kind == "v":
-            if len(tokens) != 4:
-                raise ParseError("vertex needs three coordinates", lineno)
-            try:
-                verts.append(np.array([float(x) for x in tokens[1:]]))
-            except ValueError:
-                raise ParseError("non-numeric vertex coordinate", lineno) from None
-        elif kind == "f":
-            if current is None:
-                raise MissingGroupNamesError(f"line {lineno}: face before any named group")
-            if len(tokens) != 4:
-                raise ParseError("only triangular faces are supported", lineno)
-            try:
-                ids = [int(x.split("/")[0]) for x in tokens[1:]]
-            except ValueError:
-                raise ParseError("non-integer face index", lineno) from None
-            if any(i < 1 or i > len(verts) for i in ids):
-                raise ParseError("face references a missing vertex", lineno)
-            groups[current].append((ids[0] - 1, ids[1] - 1, ids[2] - 1))
-        # other record kinds are ignored
-    surfaces = []
-    vert_arr = np.array(verts) if verts else np.zeros((0, 3))
-    for sid in order:
-        faces = groups[sid]
-        if not faces:
-            continue
-        tris = vert_arr[np.array(faces)]
-        surfaces.append(Surface.from_triangles(sid, tris))
-    return BuildingModel(tuple(surfaces))
 
 
 # ---------------------------------------------------------------------------
@@ -556,23 +483,6 @@ def load_floorplan(path) -> Floorplan2D:
     )
 
 
-def save_floorplan(plan: Floorplan2D, path) -> None:
-    doc = {
-        "walls": [
-            {
-                "start": list(map(float, w.start)),
-                "end": list(map(float, w.end)),
-                "thickness": w.thickness,
-                **({"id": w.id} if w.id is not None else {}),
-            }
-            for w in plan.walls
-        ],
-        "wall_height": plan.wall_height,
-        "floor": [list(map(float, p)) for p in plan.floor_outline],
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
-
-
 def load_reference_set(path) -> ReferenceSet:
     """Read a JSON list of surface id strings."""
     doc = json.loads(Path(path).read_text())
@@ -580,6 +490,3 @@ def load_reference_set(path) -> ReferenceSet:
         raise ValueError("reference set file must be a JSON list of strings")
     return ReferenceSet(tuple(doc))
 
-
-def save_reference_set(refs: ReferenceSet, path) -> None:
-    Path(path).write_text(json.dumps(list(refs.surface_ids)) + "\n")

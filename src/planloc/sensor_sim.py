@@ -9,7 +9,7 @@ import io
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -25,12 +25,6 @@ _CULL_PAD_RAD = 1e-6  # covers rounding in the cull's angles
 # rays x triangles a ray group holds at least: a smaller group's cull saves
 # less than the fixed numpy cost of one more kernel call
 _GROUP_PAIRS = 16384
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)
@@ -132,27 +126,16 @@ class PrismSpec:
         object.__setattr__(self, "offset", off)
 
 
-Trajectory = Callable[[float], RigidTransform]
-
-
-@dataclass(frozen=True)
-class LinearTrajectory:
-    """Constant-velocity drift of an actor, as offset from its base placement."""
-
-    velocity: tuple[float, float, float]
-
-    def __call__(self, time_s: float) -> RigidTransform:
-        v = np.asarray(self.velocity, dtype=np.float64)
-        return RigidTransform(np.eye(3), v * time_s)
-
-
 @dataclass(frozen=True)
 class Actor:
+    """A surface drifting at constant velocity (m/s) from its base placement."""
+
     surface: Surface
-    trajectory: Trajectory
+    velocity: tuple[float, float, float]
 
     def at(self, time_s: float) -> Surface:
-        return self.surface.transformed(self.trajectory(time_s))
+        v = np.asarray(self.velocity, dtype=np.float64)
+        return self.surface.transformed(RigidTransform(np.eye(3), v * time_s))
 
 
 @dataclass(frozen=True)
@@ -220,10 +203,6 @@ class DensityImage:
             raise ValueError("density values must be finite and within [0, 1]")
         object.__setattr__(self, "values", vals)
 
-    @property
-    def resolution(self) -> tuple[int, int]:
-        return self.values.shape[1], self.values.shape[0]
-
 
 @dataclass(frozen=True)
 class DensityOracleParams:
@@ -258,7 +237,6 @@ class TrialFrame:
     """One simulated timestep: scan, per-camera density images, ground truth."""
 
     index: int
-    time_s: float
     scan: Scan
     images: tuple[DensityImage, ...]
     pose: RigidTransform
@@ -401,7 +379,7 @@ def raycast_scan(
     are dropped. Class labels come from the hit geometry and are never
     affected by the noise; actors are evaluated at `time_s`.
     """
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     tris, codes, _ = _gather_scene(scene, time_s)
     dirs_sensor = spec.ray_directions()
     dirs_world = dirs_sensor @ pose.rotation.T
@@ -434,7 +412,7 @@ def render_density_image(
     `corruption_rate` fraction of (optionally targeted) building pixels
     resampled from the foreground distribution.
     """
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     tris, codes, labels = _gather_scene(scene, time_s)
     w, h = spec.width, spec.height
     u, v = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
@@ -511,7 +489,7 @@ def iter_trial_sequence(
             for cam in cameras
         )
         yield TrialFrame(
-            index=i, time_s=time_s, scan=scan, images=images, pose=robot_pose, prism=gt_prism
+            index=i, scan=scan, images=images, pose=robot_pose, prism=gt_prism
         )
 
 

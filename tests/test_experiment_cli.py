@@ -22,7 +22,6 @@ from planloc.experiment import (
 from planloc.fusion import FusionConfig
 from planloc.geometry import compose
 from planloc.metrics import TrialRecord
-from planloc.model import load_model
 from planloc.registration import SCAN_METHODS, LocalizationResult, localize, result_record
 from planloc.sensor_sim import (
     Scan,
@@ -84,6 +83,18 @@ def run_cli(*args):
     )
 
 
+def obj_vertices(path: Path) -> dict[str, np.ndarray]:
+    """The `v` vertices of each `g` group of an OBJ mesh, by group name."""
+    groups: dict[str, list] = {}
+    for line in path.read_text().splitlines():
+        kind, *fields = line.split()
+        if kind == "g":
+            verts = groups.setdefault(fields[0], [])
+        elif kind == "v":
+            verts.append([float(x) for x in fields])
+    return {name: np.array(verts) for name, verts in groups.items()}
+
+
 class TestConfig:
     def test_loads_with_defaults(self, tmp_path):
         path = tiny_config(tmp_path)
@@ -134,6 +145,32 @@ class TestConfig:
         assert cfg.selective.full_icp.max_correspondence_m == 0.5
         assert cfg.selective.selective_icp.max_correspondence_m == 0.25
 
+    @pytest.mark.parametrize(
+        "extra, where",
+        [
+            ({"icp": {"max_iterations": 5.5}}, "icp: max_iterations"),
+            (
+                {"selective": {"icp": {"min_correspondences": 10.0}}},
+                "selective.icp: min_correspondences",
+            ),
+            ({"cameras": {"width": 32.5}}, "cameras: width"),
+            ({"lidar": {"rings": 8.0}}, "lidar: rings"),
+            ({"n_scans": 2.7}, "n_scans"),
+            ({"n_scans": "2"}, "n_scans"),
+            ({"n_executions": True}, "n_executions"),
+            ({"seed": 1.5}, "seed"),
+        ],
+        ids=[
+            "icp_float", "selective_icp_float", "cameras_float", "lidar_float",
+            "top_level_float", "top_level_string", "top_level_bool", "seed_float",
+        ],
+    )
+    def test_integer_setting_must_be_an_integer(self, tmp_path, capsys, extra, where):
+        path = tiny_config(tmp_path, **extra)
+        assert cli.main(["run-matrix", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {where}: expected an integer\n"
+        assert not (tmp_path / "out").exists()
+
     def test_bad_schema_rejected(self, tmp_path):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({"schema": 2}))
@@ -164,14 +201,23 @@ class TestBuildScene:
         )
         proc = run_cli("build-scene", "--config", str(path))
         assert proc.returncode == 0, proc.stderr
-        out = tmp_path / "out"
-        planned = load_model(out / "as_planned.obj")
-        built = load_model(out / "as_built.obj")
-        refs = load_model(out / "references.obj")
-        assert set(refs.surface_ids) == {"floor", "wall_a", "wall_b"}
-        shift = built.get("wall_c").triangles - planned.get("wall_c").triangles
-        np.testing.assert_allclose(shift[..., 1], -0.3, atol=1e-6)
-        np.testing.assert_allclose(shift[..., [0, 2]], 0.0, atol=1e-6)
+        planned, built, refs = (
+            obj_vertices(tmp_path / "out" / f"{name}.obj")
+            for name in ("as_planned", "as_built", "references")
+        )
+        assert set(refs) == {"floor", "wall_a", "wall_b"}
+        plan = load_config(path).plan
+        assert list(built) == list(planned) == list(plan.surface_ids)
+        for sid, verts in planned.items():
+            np.testing.assert_allclose(verts, plan.get(sid).triangles.reshape(-1, 3), atol=1e-6)
+        # each triangle is a face over its own three consecutive vertices
+        lines = (tmp_path / "out" / "as_planned.obj").read_text().splitlines()
+        n_verts = sum(len(v) for v in planned.values())
+        faces = [f"f {i} {i + 1} {i + 2}" for i in range(1, n_verts, 3)]
+        assert [line for line in lines if line.startswith("f ")] == faces
+        shift = built["wall_c"] - planned["wall_c"]
+        np.testing.assert_allclose(shift[:, 1], -0.3, atol=1e-6)
+        np.testing.assert_allclose(shift[:, [0, 2]], 0.0, atol=1e-6)
         assert "wall_a" in proc.stdout  # inventory listing
 
     def test_missing_floorplan_reports_path(self, tmp_path):

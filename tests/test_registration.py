@@ -129,7 +129,7 @@ class TestMapIndex:
 
     def test_rejects_empty_cloud(self):
         empty = MapCloud(
-            np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0, dtype=np.int32), (), 1.0
+            np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0, dtype=np.int32), ()
         )
         with pytest.raises(ValueError):
             MapIndex(empty)
@@ -445,7 +445,6 @@ class TestSelective:
             room_cloud.normals,
             room_cloud.surface_index,
             room_cloud.surface_ids,
-            room_cloud.sampling_density,
         )
         ref = MapIndex(shifted)
         scan = scan_from_map(room_cloud, ROBOT_POSE, 600, seed=12)

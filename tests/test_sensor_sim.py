@@ -12,7 +12,6 @@ from planloc.sensor_sim import (
     DensityImage,
     DensityOracleParams,
     LidarSpec,
-    LinearTrajectory,
     PrismSpec,
     Scan,
     Scene,
@@ -220,7 +219,7 @@ class TestRaycast:
         wall = make_box_surface("wall", center=[5.1, 0, 0], size=[0.2, 10, 6])
         actor = Actor(
             surface=make_box_surface("runner", center=[2, -2, 0], size=[0.5, 0.5, 1.8]),
-            trajectory=LinearTrajectory((0.0, 1.0, 0.0)),
+            velocity=(0.0, 1.0, 0.0),
         )
         scene = Scene(as_built=BuildingModel((wall,)), actors=(actor,))
         lidar = LidarSpec(ring_elevations_deg=(0.0,), azimuth_step_deg=2.0, range_noise_m=0.0)
