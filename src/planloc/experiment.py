@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import inspect
 import json
-import os
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,6 +47,7 @@ from .registration import (
     SelectiveConfig,
     localize,
     result_record,
+    usable_cpus,
 )
 from .sensor_sim import (
     Actor,
@@ -217,13 +218,33 @@ def _section(doc: dict, key: str, name: str | None = None) -> dict:
     return obj
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return type(value) in (int, float)
+
+
 def _setting(obj: dict, key: str, default, where: str = ""):
     """`obj[key]`, or `default` when absent; a setting whose default is an
-    int (not a bool) must be a JSON integer, else this raises naming it."""
+    int (not a bool) must be a JSON integer, and one whose default is a float
+    a JSON number, else this raises naming it."""
     value = obj.get(key, default)
     if type(default) is int and type(value) is not int:
         raise ValueError(f"{_at(where)}{key}: expected an integer")
+    if type(default) is float and not _is_number(value):
+        raise ValueError(f"{_at(where)}{key}: expected a number")
     return value
+
+
+def _velocity(obj: dict, where: str) -> tuple[float, float, float]:
+    """An actor's `velocity` (m/s): 3 finite JSON numbers, zero when absent."""
+    value = obj.get("velocity", [0.0, 0.0, 0.0])
+    if not (
+        isinstance(value, list)
+        and len(value) == 3
+        and all(_is_number(v) and math.isfinite(v) for v in value)
+    ):
+        raise ValueError(f"{where}: velocity: expected 3 numbers")
+    return tuple(value)
 
 
 def _spec(build, section: str, obj: dict, special: tuple[str, ...] = (), **fixed):
@@ -247,8 +268,8 @@ def _parse_config(path: Path, overrides: dict) -> ExperimentConfig:
     base = path.parent
     lidar_doc = _section(doc, "lidar")
     rings = np.linspace(
-        lidar_doc.get("elevation_min_deg", -15.0),
-        lidar_doc.get("elevation_max_deg", 15.0),
+        _setting(lidar_doc, "elevation_min_deg", -15.0, "lidar"),
+        _setting(lidar_doc, "elevation_max_deg", 15.0, "lidar"),
         _setting(lidar_doc, "rings", 16, "lidar"),
     )
     lidar = _spec(
@@ -262,8 +283,10 @@ def _parse_config(path: Path, overrides: dict) -> ExperimentConfig:
     oracle = _spec(DensityOracleParams, "density_oracle", oracle_doc)
     fusion_doc = _section(doc, "fusion")
     fusion = _spec(FusionConfig, "fusion", fusion_doc, ("delta", "delta_prime"))
-    delta = float(overrides.get("delta", fusion_doc.get("delta", 0.5)))
-    delta_prime = float(overrides.get("delta_prime", fusion_doc.get("delta_prime", 0.1)))
+    delta = float(overrides.get("delta", _setting(fusion_doc, "delta", 0.5, "fusion")))
+    delta_prime = float(
+        overrides.get("delta_prime", _setting(fusion_doc, "delta_prime", 0.1, "fusion"))
+    )
     icp_doc = _section(doc, "icp")
     sel_doc = dict(_section(doc, "selective"))
     for name, key in (("tau_trans", "tau_trans_m"), ("tau_rot", "tau_rot_rad")):
@@ -297,7 +320,7 @@ def _parse_config(path: Path, overrides: dict) -> ExperimentConfig:
         actors=tuple(
             Actor(
                 surface=_clutter_surface(d, f"actors[{i}]", ("velocity",)),
-                velocity=tuple(d.get("velocity", (0.0, 0.0, 0.0))),
+                velocity=_velocity(d, f"actors[{i}]"),
             )
             for i, d in enumerate(doc.get("actors", []))
         ),
@@ -309,6 +332,9 @@ def _parse_config(path: Path, overrides: dict) -> ExperimentConfig:
         else robot_pose
     )
     prism = _spec(PrismSpec, "prism", _section(doc, "prism"))
+    map_density = float(_setting(doc, "map_density_per_m2", 400.0))
+    if not 0.0 < map_density < math.inf:
+        raise ValueError("map_density_per_m2: expected a finite number > 0")
     return ExperimentConfig(
         plan=plan,
         references=references,
@@ -321,14 +347,14 @@ def _parse_config(path: Path, overrides: dict) -> ExperimentConfig:
         delta=delta,
         delta_prime=delta_prime,
         selective=selective,
-        map_density_per_m2=float(doc.get("map_density_per_m2", 400.0)),
+        map_density_per_m2=map_density,
         robot_pose=robot_pose,
         initial_pose=initial_pose,
         n_scans=_setting(doc, "n_scans", 300),
         n_executions=_setting(doc, "n_executions", 3),
         seed=int(overrides.get("seed", _setting(doc, "seed", 0))),
         out_dir=Path(overrides.get("out_dir", base / doc.get("out_dir", "out"))),
-        scan_period_s=float(doc.get("scan_period_s", 0.2)),
+        scan_period_s=float(_setting(doc, "scan_period_s", 0.2)),
     )
 
 
@@ -407,11 +433,6 @@ def localize_frame(
     )
 
 
-def _usable_cpus() -> int:
-    """Number of CPUs this process may run on."""
-    return len(os.sched_getaffinity(0))
-
-
 def run_execution(
     bundle: SceneBundle,
     cfg: ExperimentConfig,
@@ -443,7 +464,7 @@ def run_execution(
     for method in sorted(methods, key=lambda m: m[0] != "selective"):
         if method not in runs and ("selective", method[1]) not in runs:
             runs.append(method)
-    concurrent = len(runs) > 1 and _usable_cpus() > 1
+    concurrent = len(runs) > 1 and usable_cpus() > 1
     records: dict[tuple[str, str], list[TrialRecord]] = {m: [] for m in methods}
     with ThreadPoolExecutor(max_workers=1) as worker:  # starts a thread on first submit
         for frame in frames:

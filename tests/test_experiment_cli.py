@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -170,6 +171,57 @@ class TestConfig:
         assert cli.main(["run-matrix", "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: {where}: expected an integer\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"map_density_per_m2": True}, "map_density_per_m2: expected a number"),
+            ({"map_density_per_m2": "400"}, "map_density_per_m2: expected a number"),
+            ({"scan_period_s": "0.2"}, "scan_period_s: expected a number"),
+            ({"icp": {"huber_scale_m": "0.05"}}, "icp: huber_scale_m: expected a number"),
+            ({"fusion": {"delta": True}}, "fusion: delta: expected a number"),
+            (
+                {"lidar": {"elevation_min_deg": "-15"}},
+                "lidar: elevation_min_deg: expected a number",
+            ),
+            ({"map_density_per_m2": 0}, "map_density_per_m2: expected a finite number > 0"),
+            ({"map_density_per_m2": -5.0}, "map_density_per_m2: expected a finite number > 0"),
+        ],
+        ids=[
+            "density_bool", "density_string", "period_string", "icp_string", "delta_bool",
+            "elevation_string", "density_zero", "density_negative",
+        ],
+    )
+    def test_float_setting_must_be_a_number(self, tmp_path, capsys, extra, message):
+        path = tiny_config(tmp_path, **extra)
+        assert cli.main(["run-matrix", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_float_setting_accepts_an_integer(self, tmp_path):
+        cfg = load_config(tiny_config(tmp_path, scan_period_s=1, fusion={"delta": 1}))
+        assert cfg.scan_period_s == 1.0 and cfg.delta == 1.0
+        assert cfg.map_density_per_m2 == 150.0
+
+    @pytest.mark.parametrize(
+        "velocity",
+        [[0.2, 0.0], "ab", [0.2, 0.0, 0.0, 0.0], [0.2, 0.0, True], [0.2, "0", 0.0],
+         [0.2, 0.0, float("nan")], {"x": 0.2}],
+        ids=["two_numbers", "string", "four_numbers", "bool", "string_entry", "nan", "object"],
+    )
+    def test_actor_velocity_must_be_three_numbers(self, tmp_path, capsys, velocity):
+        actor = {"id": "worker", "center": [1.0, 1.0, 0.9], "size": [0.4, 0.4, 1.8]}
+        path = tiny_config(tmp_path, actors=[{**actor, "velocity": velocity}])
+        assert cli.main(["build-scene", "--config", str(path)]) == 2
+        message = "actors[0]: velocity: expected 3 numbers"
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_actor_velocity_defaults_to_zero(self, tmp_path):
+        actor = {"id": "worker", "center": [1.0, 1.0, 0.9], "size": [0.4, 0.4, 1.8]}
+        moving = {**actor, "id": "cart", "velocity": [0, 1, 0.5]}
+        cfg = load_config(tiny_config(tmp_path, actors=[actor, moving]))
+        assert [a.velocity for a in cfg.scene.actors] == [(0.0, 0.0, 0.0), (0, 1, 0.5)]
 
     def test_bad_schema_rejected(self, tmp_path):
         path = tmp_path / "exp.json"
@@ -421,18 +473,6 @@ class TestRunMatrix:
         assert csv_a.read_bytes() != csv_b.read_bytes()
 
 
-@pytest.fixture
-def fast_thread_switching():
-    """Switch threads every 10 µs instead of every 5 ms, so the worker and
-    the calling thread interleave far more often than they do in a run."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(interval)
-
-
 class TestSharedStage:
     """full × X is taken from the full-map stage of the selective × X run."""
 
@@ -486,7 +526,7 @@ class TestSharedStage:
     ):
         cfg = load_config(tiny_config(tmp_path, n_scans=2))
         bundle = assemble_scene(cfg)
-        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)  # count from two threads
+        set_usable_cpus(monkeypatch, 2)  # count from two threads
         counts = self._count_calls(
             monkeypatch, ("point_to_plane_icp", "weights_binary", "weights_linear")
         )
@@ -569,6 +609,12 @@ def assert_records_equal(got, want):
                 assert a.estimated_prism.tobytes() == b.estimated_prism.tobytes()
 
 
+def set_usable_cpus(monkeypatch, n: int) -> None:
+    """Let this process see `n` usable CPUs: run_execution's worker thread and
+    MapIndex's query threads both follow the count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
 def thread_log(monkeypatch, fail_on=None) -> list:
     """Log the thread of every localize_frame call; with `fail_on` ("worker"
     or "main") a call on that thread raises LookupError instead."""
@@ -606,7 +652,7 @@ class TestConcurrentLocalization:
         cfg = load_config(tiny_config(tmp_path, n_scans=2, **extra))
         bundle = assemble_scene(cfg)
         want = sequential_execution(bundle, cfg, 1, methods)
-        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+        set_usable_cpus(monkeypatch, 2)
         calls = thread_log(monkeypatch)
         before = threading.active_count()
         got = run_execution(bundle, cfg, 1, methods)
@@ -622,7 +668,7 @@ class TestConcurrentLocalization:
         self, tmp_path, monkeypatch, fail_on
     ):
         cfg = load_config(tiny_config(tmp_path, n_scans=2))
-        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+        set_usable_cpus(monkeypatch, 2)
         calls = thread_log(monkeypatch, fail_on=fail_on)
         before = threading.active_count()
         with pytest.raises(LookupError, match=f"on the {fail_on} thread"):
@@ -634,7 +680,7 @@ class TestConcurrentLocalization:
         cfg = load_config(tiny_config(tmp_path, n_scans=2))
         bundle = assemble_scene(cfg)
         want = sequential_execution(bundle, cfg, 0)
-        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 1)
+        set_usable_cpus(monkeypatch, 1)
 
         def no_start(thread):
             raise AssertionError(f"started thread {thread.name}")

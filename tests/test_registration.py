@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from planloc.fusion import Scan, weights_linear
 from planloc.geometry import RigidTransform, compose, invert, pose_delta, rotvec_to_matrix
 from planloc.model import MapCloud, make_box_surface, sample_model
 from planloc.registration import (
+    _CHUNK,
     FailureReason,
     IcpConfig,
     IcpResult,
@@ -24,6 +27,7 @@ from planloc.registration import (
     residual_jacobian,
     result_record,
     selective_localize,
+    usable_cpus,
 )
 from planloc.sensor_sim import LidarSpec, Scene, raycast_scan
 
@@ -135,6 +139,97 @@ class TestMapIndex:
             MapIndex(empty)
 
 
+def cloud_of(points: np.ndarray) -> MapCloud:
+    normals = np.tile([0.0, 0.0, 1.0], (len(points), 1))
+    return MapCloud(points, normals, np.zeros(len(points), dtype=np.int32), ("s",))
+
+
+def brute_force(cloud_points: np.ndarray, queries: np.ndarray):
+    """Distance from each query to every map point, as the kd-tree sums it."""
+    diff = queries[:, None, :] - cloud_points[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
+def query_clouds() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(21)
+    planar = np.column_stack([rng.uniform(0, 4, (3000, 2)), np.zeros(3000)])
+    return {
+        "uniform": rng.uniform(0, 4, (3000, 3)),
+        "planar": planar,
+        "duplicates": np.repeat(rng.uniform(0, 4, (700, 3)), 3, axis=0),
+        "single": np.array([[1.0, 2.0, 3.0]]),
+    }
+
+
+class TestMapIndexAgainstBruteForce:
+    GATE = 0.25
+
+    @pytest.mark.parametrize("name", list(query_clouds()))
+    def test_nearest_points_and_gate_match_brute_force(self, name):
+        points = query_clouds()[name]
+        index = MapIndex(cloud_of(points))
+        rng = np.random.default_rng(22)
+        queries = np.concatenate(
+            [rng.uniform(-0.5, 4.5, (400, 3)), points[rng.integers(len(points), size=50)]]
+        )
+        dist = brute_force(points, queries)
+        nearest = dist.min(axis=1)
+        for gate in (np.inf, self.GATE):
+            idx, valid = index.query(queries, gate)
+            np.testing.assert_array_equal(valid, nearest < gate)
+            assert np.array_equal(dist[np.arange(len(queries)), idx][valid], nearest[valid])
+            no_tie = valid & ((dist == nearest[:, None]).sum(axis=1) == 1)
+            assert np.array_equal(idx[no_tie], dist.argmin(axis=1)[no_tie])
+            assert (idx[~valid] == 0).all()
+
+    def test_points_just_inside_and_just_outside_the_gate(self):
+        points = query_clouds()["planar"]
+        index = MapIndex(cloud_of(points))
+        pick = np.random.default_rng(23).choice(len(points), size=200, replace=False)
+        up = np.array([0.0, 0.0, 1.0])
+        inside = points[pick] + up * self.GATE * (1 - 1e-9)
+        outside = points[pick] + up * self.GATE * (1 + 1e-9)
+        idx, valid = index.query(inside, self.GATE)
+        assert valid.all() and np.array_equal(idx, pick)
+        _, valid = index.query(outside, self.GATE)
+        assert not valid.any()
+
+    def test_every_cpu_count_gives_the_same_answers(self, monkeypatch):
+        points = query_clouds()["uniform"]
+        index = MapIndex(cloud_of(points))
+        queries = np.random.default_rng(24).uniform(-0.5, 4.5, (5000, 3))
+        answers = []
+        for cpus in (1, usable_cpus(), 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            assert usable_cpus() == cpus
+            answers.append(index.query(queries, self.GATE))
+        for idx, valid in answers[1:]:
+            assert np.array_equal(idx, answers[0][0]) and np.array_equal(valid, answers[0][1])
+
+    def test_threads_query_every_chunk_once(self, monkeypatch, fast_thread_switching):
+        points = query_clouds()["uniform"]
+        index = MapIndex(cloud_of(points))
+        queries = np.random.default_rng(25).uniform(-0.5, 4.5, (40 * _CHUNK - 7, 3))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        want = index.query(queries, self.GATE)
+        tree, lock, calls = index._tree, threading.Lock(), []
+
+        class CountingTree:
+            def query(self, pts, **kwargs):
+                with lock:
+                    calls.append((threading.get_ident(), len(pts)))
+                return tree.query(pts, **kwargs)
+
+        monkeypatch.setattr(index, "_tree", CountingTree())
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        before = threading.active_count()
+        idx, valid = index.query(queries, self.GATE)
+        assert threading.active_count() == before  # the helpers were joined
+        assert np.array_equal(idx, want[0]) and np.array_equal(valid, want[1])
+        assert len(calls) == 40 and sum(n for _, n in calls) == len(queries)
+        assert len({thread for thread, _ in calls}) > 1
+
+
 class TestJacobian:
     def test_matches_central_differences(self):
         rng = np.random.default_rng(1)
@@ -183,12 +278,45 @@ class TestIcp:
             assert d.translation_norm < 1e-3
             assert d.rotation_angle < np.deg2rad(0.05)
 
-    def test_all_zero_weights_starves(self, room_cloud, room_index):
+    def _query_rows(self, monkeypatch) -> list[int]:
+        rows = []
+        query = MapIndex.query
+        monkeypatch.setattr(
+            MapIndex, "query", lambda self, pts, *a: rows.append(len(pts)) or query(self, pts, *a)
+        )
+        return rows
+
+    def test_all_zero_weights_starves(self, room_cloud, room_index, monkeypatch):
         scan = scan_from_map(room_cloud, ROBOT_POSE, 100, seed=5)
         scan = Scan(points=scan.points, weights=np.zeros(100))
+        rows = self._query_rows(monkeypatch)
         res = point_to_plane_icp(scan, room_index, ROBOT_POSE)
         assert not res.converged
         assert res.correspondences == 0
+        assert rows == [0] and res.iterations == 1  # one query, of no point
+
+    def test_queries_only_positive_weight_points(self, room_cloud, room_index, monkeypatch):
+        scan = scan_from_map(room_cloud, ROBOT_POSE, 400, seed=6)
+        weights = np.random.default_rng(6).uniform(0.0, 1.0, 400)
+        weights[::3] = 0.0
+        rows = self._query_rows(monkeypatch)
+        res = point_to_plane_icp(Scan(scan.points, weights=weights), room_index, ROBOT_POSE)
+        assert res.converged and len(rows) == res.iterations
+        assert rows == [int((weights > 0).sum())] * res.iterations
+        assert res.correspondences == rows[-1]
+
+    def test_zero_weight_points_leave_the_result_bit_identical(self, cluttered_room, room_index):
+        scan, _, start = cluttered_room
+        weights = np.random.default_rng(19).uniform(0.0, 1.0, len(scan))
+        weights[weights < 0.4] = 0.0
+        weighted = Scan(points=scan.points, weights=weights)
+        run = (weighted, room_index, start, IcpConfig(kernel="squared"))
+        res, ref = point_to_plane_icp(*run), irls_icp(*run)
+        assert np.array_equal(res.transform.rotation, ref.transform.rotation)
+        assert np.array_equal(res.transform.translation, ref.transform.translation)
+        assert (res.converged, res.iterations, res.residual_rms_m, res.correspondences) == (
+            ref.converged, ref.iterations, ref.residual_rms_m, ref.correspondences
+        )
 
     def test_empty_scan_never_throws(self, room_index):
         res = point_to_plane_icp(Scan(points=np.zeros((0, 3))), room_index, ROBOT_POSE)
