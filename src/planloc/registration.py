@@ -186,7 +186,7 @@ class MapIndex:
                     points[part], k=1, distance_upper_bound=max_distance
                 )
 
-        helpers = min(usable_cpus(), -(-len(points) // _CHUNK)) - 1
+        helpers = min(usable_cpus(), math.ceil(len(points) / _CHUNK)) - 1
         if helpers > 0:
             with ThreadPoolExecutor(helpers) as pool:
                 futures = [pool.submit(drain) for _ in range(helpers)]
