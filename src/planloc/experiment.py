@@ -8,6 +8,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,7 +48,6 @@ from .registration import (
     SelectiveConfig,
     localize,
     result_record,
-    usable_cpus,
 )
 from .sensor_sim import (
     Actor,
@@ -433,6 +433,11 @@ def localize_frame(
     )
 
 
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
 def run_execution(
     bundle: SceneBundle,
     cfg: ExperimentConfig,
@@ -464,7 +469,7 @@ def run_execution(
     for method in sorted(methods, key=lambda m: m[0] != "selective"):
         if method not in runs and ("selective", method[1]) not in runs:
             runs.append(method)
-    concurrent = len(runs) > 1 and usable_cpus() > 1
+    concurrent = len(runs) > 1 and _usable_cpus() > 1
     records: dict[tuple[str, str], list[TrialRecord]] = {m: [] for m in methods}
     with ThreadPoolExecutor(max_workers=1) as worker:  # starts a thread on first submit
         for frame in frames:

@@ -24,9 +24,6 @@ from __future__ import annotations
 
 import enum
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,24 +127,11 @@ class LocalizationResult:
         return self.transform is not None
 
 
-def usable_cpus() -> int:
-    """Number of CPUs this process may run on."""
-    return len(os.sched_getaffinity(0))
-
-
 # Points per kd-tree leaf. With sliding-midpoint splits (Maneewongvatana &
 # Mount 1999) and 32-point leaves, the benchmark workloads' queries ran ~1.2x
 # faster and their trees built 1.3-1.7x faster than with scipy's default
 # median splits and 16-point leaves; nearest points and distances are equal.
 _LEAF_SIZE = 32
-
-# Query points per task of a threaded query. Threads take the next chunk
-# when done with one, so they stay balanced where a fixed split into one part
-# per thread (cKDTree's `workers`) does not: a point with no map point inside
-# the gate searches ~3x longer, and a CPU the host takes away stalls its
-# thread's part. 1024 was as fast as 512, 2048 or 4096 on the benchmark
-# workloads' queries, or faster.
-_CHUNK = 1024
 
 
 class MapIndex:
@@ -165,36 +149,10 @@ class MapIndex:
     def query(self, points: np.ndarray, max_distance: float = np.inf):
         """Nearest map point per query point.
 
-        The calling thread and one helper thread per further usable CPU take
-        chunks of `points` in turn; each point's answer does not depend on
-        which thread finds it. Returns (index (N,), valid (N,)); invalid
-        entries index point 0 and must be masked by the caller.
+        Returns (index (N,), valid (N,)); invalid entries index point 0 and
+        must be masked by the caller.
         """
-        dist = np.empty(len(points))
-        idx = np.empty(len(points), dtype=np.intp)
-        starts = iter(range(0, len(points), _CHUNK))
-        lock = threading.Lock()
-
-        def drain():
-            while True:
-                with lock:
-                    start = next(starts, None)
-                if start is None:
-                    return
-                part = slice(start, start + _CHUNK)
-                dist[part], idx[part] = self._tree.query(
-                    points[part], k=1, distance_upper_bound=max_distance
-                )
-
-        helpers = min(usable_cpus(), math.ceil(len(points) / _CHUNK)) - 1
-        if helpers > 0:
-            with ThreadPoolExecutor(helpers) as pool:
-                futures = [pool.submit(drain) for _ in range(helpers)]
-                drain()
-                for future in futures:
-                    future.result()
-        else:
-            drain()
+        dist, idx = self._tree.query(points, k=1, distance_upper_bound=max_distance)
         valid = np.isfinite(dist)
         idx = np.where(valid, idx, 0)
         return idx, valid

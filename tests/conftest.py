@@ -1,7 +1,6 @@
 """Shared scene builders and subprocess environment for the test suite."""
 
 import os
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -66,15 +65,3 @@ def deviated_room():
     shift = RigidTransform(np.eye(3), [0.0, -0.3, 0.0])
     as_built = apply_deviation(plan_model, [Deviation(("wall_c",), shift)])
     return plan_model, as_built
-
-
-@pytest.fixture
-def fast_thread_switching():
-    """Switch threads every 10 µs instead of every 5 ms, so concurrent
-    threads interleave far more often than they do in a run."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(interval)

@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import os
 import subprocess
 import sys
 import threading
@@ -473,6 +472,18 @@ class TestRunMatrix:
         assert csv_a.read_bytes() != csv_b.read_bytes()
 
 
+@pytest.fixture
+def fast_thread_switching():
+    """Switch threads every 10 µs instead of every 5 ms, so the worker and
+    the calling thread interleave far more often than they do in a run."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
 class TestSharedStage:
     """full × X is taken from the full-map stage of the selective × X run."""
 
@@ -526,7 +537,7 @@ class TestSharedStage:
     ):
         cfg = load_config(tiny_config(tmp_path, n_scans=2))
         bundle = assemble_scene(cfg)
-        set_usable_cpus(monkeypatch, 2)  # count from two threads
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)  # count from two threads
         counts = self._count_calls(
             monkeypatch, ("point_to_plane_icp", "weights_binary", "weights_linear")
         )
@@ -609,12 +620,6 @@ def assert_records_equal(got, want):
                 assert a.estimated_prism.tobytes() == b.estimated_prism.tobytes()
 
 
-def set_usable_cpus(monkeypatch, n: int) -> None:
-    """Let this process see `n` usable CPUs: run_execution's worker thread and
-    MapIndex's query threads both follow the count."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
 def thread_log(monkeypatch, fail_on=None) -> list:
     """Log the thread of every localize_frame call; with `fail_on` ("worker"
     or "main") a call on that thread raises LookupError instead."""
@@ -652,7 +657,7 @@ class TestConcurrentLocalization:
         cfg = load_config(tiny_config(tmp_path, n_scans=2, **extra))
         bundle = assemble_scene(cfg)
         want = sequential_execution(bundle, cfg, 1, methods)
-        set_usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
         calls = thread_log(monkeypatch)
         before = threading.active_count()
         got = run_execution(bundle, cfg, 1, methods)
@@ -668,7 +673,7 @@ class TestConcurrentLocalization:
         self, tmp_path, monkeypatch, fail_on
     ):
         cfg = load_config(tiny_config(tmp_path, n_scans=2))
-        set_usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
         calls = thread_log(monkeypatch, fail_on=fail_on)
         before = threading.active_count()
         with pytest.raises(LookupError, match=f"on the {fail_on} thread"):
@@ -680,7 +685,7 @@ class TestConcurrentLocalization:
         cfg = load_config(tiny_config(tmp_path, n_scans=2))
         bundle = assemble_scene(cfg)
         want = sequential_execution(bundle, cfg, 0)
-        set_usable_cpus(monkeypatch, 1)
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 1)
 
         def no_start(thread):
             raise AssertionError(f"started thread {thread.name}")

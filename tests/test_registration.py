@@ -1,7 +1,5 @@
 import dataclasses
 import math
-import os
-import threading
 
 import numpy as np
 import pytest
@@ -11,7 +9,6 @@ from planloc.fusion import Scan, weights_linear
 from planloc.geometry import RigidTransform, compose, invert, pose_delta, rotvec_to_matrix
 from planloc.model import MapCloud, make_box_surface, sample_model
 from planloc.registration import (
-    _CHUNK,
     FailureReason,
     IcpConfig,
     IcpResult,
@@ -27,7 +24,6 @@ from planloc.registration import (
     residual_jacobian,
     result_record,
     selective_localize,
-    usable_cpus,
 )
 from planloc.sensor_sim import LidarSpec, Scene, raycast_scan
 
@@ -193,41 +189,6 @@ class TestMapIndexAgainstBruteForce:
         assert valid.all() and np.array_equal(idx, pick)
         _, valid = index.query(outside, self.GATE)
         assert not valid.any()
-
-    def test_every_cpu_count_gives_the_same_answers(self, monkeypatch):
-        points = query_clouds()["uniform"]
-        index = MapIndex(cloud_of(points))
-        queries = np.random.default_rng(24).uniform(-0.5, 4.5, (5000, 3))
-        answers = []
-        for cpus in (1, usable_cpus(), 3):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
-            assert usable_cpus() == cpus
-            answers.append(index.query(queries, self.GATE))
-        for idx, valid in answers[1:]:
-            assert np.array_equal(idx, answers[0][0]) and np.array_equal(valid, answers[0][1])
-
-    def test_threads_query_every_chunk_once(self, monkeypatch, fast_thread_switching):
-        points = query_clouds()["uniform"]
-        index = MapIndex(cloud_of(points))
-        queries = np.random.default_rng(25).uniform(-0.5, 4.5, (40 * _CHUNK - 7, 3))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        want = index.query(queries, self.GATE)
-        tree, lock, calls = index._tree, threading.Lock(), []
-
-        class CountingTree:
-            def query(self, pts, **kwargs):
-                with lock:
-                    calls.append((threading.get_ident(), len(pts)))
-                return tree.query(pts, **kwargs)
-
-        monkeypatch.setattr(index, "_tree", CountingTree())
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-        before = threading.active_count()
-        idx, valid = index.query(queries, self.GATE)
-        assert threading.active_count() == before  # the helpers were joined
-        assert np.array_equal(idx, want[0]) and np.array_equal(valid, want[1])
-        assert len(calls) == 40 and sum(n for _, n in calls) == len(queries)
-        assert len({thread for thread, _ in calls}) > 1
 
 
 class TestJacobian:
