@@ -1,18 +1,18 @@
-"""Experiment orchestration: configuration loading (with the plan, reference
-set and as-built scene a config names), map building, the 2x3 (icp x scan)
-method matrix over stationary trial sequences, and report emission.
+"""Experiment orchestration: the JSON input schema and its readers
+(configuration, with the plan, reference set and as-built scene a config
+names; pose files), map building, the 2x3 (icp x scan) method matrix over
+stationary trial sequences, and report emission.
 """
 
 from __future__ import annotations
 
-import inspect
 import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,12 +28,12 @@ from .metrics import (
 from .model import (
     BuildingModel,
     Deviation,
+    Floorplan2D,
     ModelError,
     ReferenceSet,
+    WallSegment,
     apply_deviation,
     extrude_floorplan,
-    load_floorplan,
-    load_reference_set,
     make_box_surface,
     sample_model,
     save_model,
@@ -88,11 +88,79 @@ def _checked(path: Path, parse):
         raise ConfigError(f"{path}: {e}") from e
 
 
-def _json_object(path: Path) -> dict:
-    doc = json.loads(path.read_text())
-    if not isinstance(doc, dict):
-        raise ValueError(f"must hold a JSON object, not {type(doc).__name__}")
-    return doc
+class Kind(NamedTuple):
+    """A leaf value kind: its name in error messages and its test."""
+
+    name: str
+    fits: Callable[[object], bool]
+
+
+def _finite(value) -> bool:
+    """A finite JSON number: an int, or a float that is not NaN or infinite."""
+    return type(value) is int or (type(value) is float and math.isfinite(value))
+
+
+def _numbers(n: int) -> Kind:
+    return Kind(
+        f"{n} numbers", lambda v: type(v) is list and len(v) == n and all(map(_finite, v))
+    )
+
+
+INT = Kind("an integer", lambda v: type(v) is int)
+NUM = Kind("a number", _finite)
+STR = Kind("a string", lambda v: type(v) is str)
+STRS = Kind("a list of strings", lambda v: type(v) is list and all(type(s) is str for s in v))
+# 9 numbers row-major, as localize-once prints a transform, or 3 rows of 3
+ROTATION = Kind(
+    "9 numbers or 3 rows of 3 numbers",
+    lambda v: _numbers(9).fits(v)
+    or (type(v) is list and len(v) == 3 and all(map(_numbers(3).fits, v))),
+)
+
+_POSE = {"translation": _numbers(3), "yaw_deg": NUM, "quaternion": _numbers(4)}
+_BOX = {"id": STR, "center": _numbers(3), "size": _numbers(3), "yaw_deg": NUM}
+_ICP = {
+    "max_iterations": INT, "max_correspondence_m": NUM, "translation_eps_m": NUM,
+    "rotation_eps_rad": NUM, "kernel": STR, "huber_scale_m": NUM, "min_correspondences": INT,
+}
+
+# Every key that each JSON input may hold, with the kind of its value: a leaf
+# kind, a dict for an object holding only those keys, or a one-element list
+# for a list of entries of that kind. Whether a key is required, and what an
+# absent one defaults to, is for the reader of the file.
+SCHEMA = {
+    "config": {
+        "schema": INT, "floorplan": STR, "references": STR,
+        "deviation": [{"surfaces": STRS, **_POSE}],
+        "clutter": [_BOX],
+        "actors": [{**_BOX, "velocity": _numbers(3)}],
+        "lidar": {
+            "rings": INT, "elevation_min_deg": NUM, "elevation_max_deg": NUM,
+            "azimuth_step_deg": NUM, "max_range_m": NUM, "range_noise_m": NUM,
+        },
+        "cameras": {
+            "count": INT, "width": INT, "height": INT, "hfov_deg": NUM, "mount": _numbers(3),
+        },
+        "prism": {"offset": _numbers(3)},
+        "density_oracle": {
+            "mu_bg": NUM, "mu_fg": NUM, "sigma": NUM, "rho": NUM, "corrupt_surfaces": STRS,
+        },
+        "fusion": {"delta": NUM, "delta_prime": NUM, "rule": STR},
+        "icp": _ICP,
+        "selective": {"tau_trans_m": NUM, "tau_rot_rad": NUM, "icp": _ICP},
+        "map_density_per_m2": NUM,
+        "robot_pose": _POSE,
+        "initial_pose": _POSE,
+        "n_scans": INT, "n_executions": INT, "seed": INT, "out_dir": STR, "scan_period_s": NUM,
+    },
+    "floorplan": {
+        "walls": [{"start": _numbers(2), "end": _numbers(2), "thickness": NUM, "id": STR}],
+        "wall_height": NUM,
+        "floor": [_numbers(2)],
+    },
+    "references": STRS,
+    "pose": {**_POSE, "r": ROTATION, "t": _numbers(3)},
+}
 
 
 def _at(where: str) -> str:
@@ -100,22 +168,52 @@ def _at(where: str) -> str:
     return f"{where}: " if where else ""
 
 
-def _known_fields(obj: dict, known, where: str = "") -> None:
-    """Raise on a key of `obj` not in `known`, naming it and `where`."""
-    for key in obj:
-        if key not in known:
-            raise ValueError(f"{_at(where)}unknown field '{key}'")
+def check(value, kind, where: str = "") -> None:
+    """Raise ValueError unless `value`, found at `where`, is of `kind` (as in
+    SCHEMA). The message names the offending place: key k of an object at
+    `where` is `where.k` when it holds an object, else `where: k`, and entry i
+    of a list is `where[i]`."""
+    if isinstance(kind, dict):
+        if type(value) is not dict:
+            raise ValueError(f"{_at(where)}expected an object")
+        for key, item in value.items():
+            if key not in kind:
+                raise ValueError(f"{_at(where)}unknown field '{key}'")
+            nested = where and isinstance(kind[key], dict)
+            check(item, kind[key], f"{where}.{key}" if nested else f"{_at(where)}{key}")
+    elif isinstance(kind, list):
+        if type(value) is not list:
+            raise ValueError(f"{_at(where)}expected a list")
+        for i, item in enumerate(value):
+            check(item, kind[0], f"{where}[{i}]")
+    elif not kind.fits(value):
+        raise ValueError(f"{_at(where)}expected {kind.name}")
 
 
-_POSE_KEYS = ("translation", "yaw_deg", "quaternion")
+def _load(path: Path, form: str):
+    """The JSON document in file `path`, checked against `SCHEMA[form]`."""
+    doc = json.loads(path.read_text())
+    check(doc, SCHEMA[form])
+    return doc
 
 
-def _pose_from_obj(obj: dict, where: str, extra: tuple[str, ...] = ()) -> RigidTransform:
-    """A config pose: `translation` plus `yaw_deg` or `quaternion`; the
-    `extra` keys are the caller's to read, and any other key raises."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{_at(where)}expected an object")
-    _known_fields(obj, _POSE_KEYS + extra, where)
+def load_floorplan(path) -> Floorplan2D:
+    """Read `{"walls": [{"start", "end", "thickness", "id"}], "wall_height", "floor"}`."""
+    doc = _load(Path(path), "floorplan")
+    walls = tuple(
+        WallSegment(w["start"], w["end"], float(w["thickness"]), w.get("id"))
+        for w in doc["walls"]
+    )
+    return Floorplan2D(walls, float(doc["wall_height"]), doc["floor"])
+
+
+def load_reference_set(path) -> ReferenceSet:
+    """Read a JSON list of surface id strings."""
+    return ReferenceSet(tuple(_load(Path(path), "references")))
+
+
+def _pose_from_obj(obj: dict, where: str) -> RigidTransform:
+    """A config pose: `translation` plus `yaw_deg` or `quaternion`."""
     translation = obj.get("translation", [0.0, 0.0, 0.0])
     if "quaternion" in obj and "yaw_deg" in obj:
         raise ValueError(f"{_at(where)}give either quaternion or yaw_deg, not both")
@@ -126,15 +224,16 @@ def _pose_from_obj(obj: dict, where: str, extra: tuple[str, ...] = ()) -> RigidT
 
 
 def load_pose(path) -> RigidTransform:
-    """Read a pose file: `{"r": 3x3 rows, "t": [x, y, z]}` or a config pose
-    (`translation` plus `yaw_deg` or `quaternion`)."""
+    """Read a pose file: `{"r": rotation, "t": [x, y, z]}`, the rotation as
+    9 numbers row-major (the `transform` that localize-once prints) or 3 rows,
+    or a config pose (`translation` plus `yaw_deg` or `quaternion`)."""
     return _checked(Path(path), _parse_pose)
 
 
 def _parse_pose(path: Path) -> RigidTransform:
-    doc = _json_object(path)
-    if "r" in doc and "t" in doc:
-        return RigidTransform(np.array(doc["r"]).reshape(3, 3), doc["t"])
+    doc = _load(path, "pose")
+    if "r" in doc or "t" in doc:
+        return RigidTransform(np.reshape(doc["r"], (3, 3)), doc["t"])
     return _pose_from_obj(doc, "")
 
 
@@ -169,9 +268,8 @@ class ExperimentConfig:
             raise ValueError("n_scans and n_executions must be >= 1")
 
 
-def _clutter_surface(defn: dict, where: str, extra: tuple[str, ...] = ()):
-    """A clutter box; the `extra` keys are the caller's to read."""
-    _known_fields(defn, ("id", "center", "size", "yaw_deg") + extra, where)
+def _clutter_surface(defn: dict):
+    """A clutter box."""
     return make_box_surface(
         defn["id"],
         center=defn["center"],
@@ -184,145 +282,81 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     """Load a schema-1 experiment config with the plan, reference set and
     as-built scene it names; relative paths resolve against the config
     file's directory. `overrides` may replace scalar knobs (seed, out_dir,
-    delta, delta_prime, tau_trans, tau_rot). A malformed config (an unknown
-    key in a settings section among them), floorplan or reference set raises
-    ConfigError naming that file."""
+    delta, delta_prime, tau_trans, tau_rot). A malformed config (a key or
+    value that `SCHEMA` does not allow among them), floorplan or
+    reference set raises ConfigError naming that file."""
     return _checked(Path(path), lambda path: _parse_config(path, overrides or {}))
 
 
-# Top-level config keys; the settings sections, poses and entries check their own.
-_CONFIG_KEYS = (
-    "schema", "floorplan", "references", "deviation", "clutter", "actors",
-    "lidar", "cameras", "prism", "density_oracle", "fusion", "icp", "selective",
-    "map_density_per_m2", "robot_pose", "initial_pose",
-    "n_scans", "n_executions", "seed", "out_dir", "scan_period_s",
-)
-
-# Config keys spelt otherwise than the spec field they set, by field name.
-_CONFIG_KEY = {
-    "mu_background": "mu_bg",
-    "mu_foreground": "mu_fg",
-    "corruption_rate": "rho",
-    "corrupt_surface_ids": "corrupt_surfaces",
-    "tau_translation_m": "tau_trans_m",
-    "tau_rotation_rad": "tau_rot_rad",
+# Config keys spelt otherwise than the builder parameter they set.
+_PARAM = {
+    "mu_bg": "mu_background",
+    "mu_fg": "mu_foreground",
+    "rho": "corruption_rate",
+    "corrupt_surfaces": "corrupt_surface_ids",
+    "tau_trans_m": "tau_translation_m",
+    "tau_rot_rad": "tau_rotation_rad",
 }
 
 
-def _section(doc: dict, key: str, name: str | None = None) -> dict:
-    """Settings section `key` of `doc`, {} when absent; a section that is
-    not a JSON object raises, naming it `name` (default `key`)."""
-    obj = doc.get(key, {})
-    if not isinstance(obj, dict):
-        raise ValueError(f"{name or key}: expected an object")
-    return obj
-
-
-def _is_number(value) -> bool:
-    """A JSON number: an int or a float, not a bool."""
-    return type(value) in (int, float)
-
-
-def _setting(obj: dict, key: str, default, where: str = ""):
-    """`obj[key]`, or `default` when absent; a setting whose default is an
-    int (not a bool) must be a JSON integer, and one whose default is a float
-    a JSON number, else this raises naming it."""
-    value = obj.get(key, default)
-    if type(default) is int and type(value) is not int:
-        raise ValueError(f"{_at(where)}{key}: expected an integer")
-    if type(default) is float and not _is_number(value):
-        raise ValueError(f"{_at(where)}{key}: expected a number")
-    return value
-
-
-def _velocity(obj: dict, where: str) -> tuple[float, float, float]:
-    """An actor's `velocity` (m/s): 3 finite JSON numbers, zero when absent."""
-    value = obj.get("velocity", [0.0, 0.0, 0.0])
-    if not (
-        isinstance(value, list)
-        and len(value) == 3
-        and all(_is_number(v) and math.isfinite(v) for v in value)
-    ):
-        raise ValueError(f"{where}: velocity: expected 3 numbers")
-    return tuple(value)
-
-
-def _spec(build, section: str, obj: dict, special: tuple[str, ...] = (), **fixed):
-    """`build(**fixed, **fields)` with the fields that config section `obj`
-    sets; a field it omits keeps `build`'s own default. The `special` keys
-    are the caller's to read; any other key that names no field raises."""
-    params = inspect.signature(build).parameters
-    fields = {_CONFIG_KEY.get(name, name): name for name in params if name not in fixed}
-    _known_fields(obj, (*fields, *special), section)
-    values = {
-        fields[k]: _setting(obj, k, params[fields[k]].default, section) for k in obj if k in fields
-    }
-    return build(**fixed, **values)
+def _spec(build, obj: dict, special: tuple[str, ...] = (), **fixed):
+    """`build(**fixed, **params)` with the parameters that config section
+    `obj` sets, bar its `special` keys, which are the caller's to read; a
+    parameter it omits keeps `build`'s own default."""
+    return build(**fixed, **{_PARAM.get(k, k): v for k, v in obj.items() if k not in special})
 
 
 def _parse_config(path: Path, overrides: dict) -> ExperimentConfig:
-    doc = _json_object(path)
+    doc = _load(path, "config")
     if doc.get("schema") != 1:
         raise ConfigError(f"{path}: field 'schema' must be 1")
-    _known_fields(doc, _CONFIG_KEYS)
     base = path.parent
-    lidar_doc = _section(doc, "lidar")
+    lidar_doc = doc.get("lidar", {})
     rings = np.linspace(
-        _setting(lidar_doc, "elevation_min_deg", -15.0, "lidar"),
-        _setting(lidar_doc, "elevation_max_deg", 15.0, "lidar"),
-        _setting(lidar_doc, "rings", 16, "lidar"),
+        lidar_doc.get("elevation_min_deg", -15.0),
+        lidar_doc.get("elevation_max_deg", 15.0),
+        lidar_doc.get("rings", 16),
     )
     lidar = _spec(
-        LidarSpec, "lidar", lidar_doc, ("rings", "elevation_min_deg", "elevation_max_deg"),
+        LidarSpec, lidar_doc, ("rings", "elevation_min_deg", "elevation_max_deg"),
         ring_elevations_deg=tuple(rings),
     )
-    cameras = _spec(default_camera_rig, "cameras", _section(doc, "cameras"))
-    oracle_doc = _section(doc, "density_oracle")
+    cameras = _spec(default_camera_rig, doc.get("cameras", {}))
+    oracle_doc = doc.get("density_oracle", {})
     if oracle_doc.get("corrupt_surfaces") == []:  # as when absent: every building surface
         oracle_doc = {**oracle_doc, "corrupt_surfaces": None}
-    oracle = _spec(DensityOracleParams, "density_oracle", oracle_doc)
-    fusion_doc = _section(doc, "fusion")
-    fusion = _spec(FusionConfig, "fusion", fusion_doc, ("delta", "delta_prime"))
-    delta = float(overrides.get("delta", _setting(fusion_doc, "delta", 0.5, "fusion")))
-    delta_prime = float(
-        overrides.get("delta_prime", _setting(fusion_doc, "delta_prime", 0.1, "fusion"))
-    )
-    icp_doc = _section(doc, "icp")
-    sel_doc = dict(_section(doc, "selective"))
+    oracle = _spec(DensityOracleParams, oracle_doc)
+    fusion_doc = doc.get("fusion", {})
+    fusion = _spec(FusionConfig, fusion_doc, ("delta", "delta_prime"))
+    delta = float(overrides.get("delta", fusion_doc.get("delta", 0.5)))
+    delta_prime = float(overrides.get("delta_prime", fusion_doc.get("delta_prime", 0.1)))
+    icp_doc = doc.get("icp", {})
+    sel_doc = dict(doc.get("selective", {}))
     for name, key in (("tau_trans", "tau_trans_m"), ("tau_rot", "tau_rot_rad")):
         if name in overrides:
             sel_doc[key] = overrides[name]
     # the selective stage may override solver knobs (tighter gate etc.)
     selective = _spec(
-        SelectiveConfig, "selective", sel_doc, ("icp",),
-        full_icp=_spec(IcpConfig, "icp", icp_doc),
-        selective_icp=_spec(
-            IcpConfig, "selective.icp", {**icp_doc, **_section(sel_doc, "icp", "selective.icp")}
-        ),
+        SelectiveConfig, sel_doc, ("icp",),
+        full_icp=_spec(IcpConfig, icp_doc),
+        selective_icp=_spec(IcpConfig, {**icp_doc, **sel_doc.get("icp", {})}),
     )
     plan = _checked(base / doc["floorplan"], lambda p: extrude_floorplan(load_floorplan(p)))
     references = _checked(
         base / doc["references"],
         lambda p: validate_reference_set(plan, load_reference_set(p)),
     )
+    plan.subset(oracle.corrupt_surface_ids or ())  # raises on an unknown id
     deviations = tuple(
-        Deviation(
-            surface_ids=tuple(d["surfaces"]),
-            offset=_pose_from_obj(d, f"deviation[{i}]", ("surfaces",)),
-        )
+        Deviation(surface_ids=tuple(d["surfaces"]), offset=_pose_from_obj(d, f"deviation[{i}]"))
         for i, d in enumerate(doc.get("deviation", []))
     )
     scene = Scene(
         as_built=apply_deviation(plan, deviations),
-        clutter=tuple(
-            _clutter_surface(d, f"clutter[{i}]") for i, d in enumerate(doc.get("clutter", []))
-        ),
+        clutter=tuple(_clutter_surface(d) for d in doc.get("clutter", [])),
         actors=tuple(
-            Actor(
-                surface=_clutter_surface(d, f"actors[{i}]", ("velocity",)),
-                velocity=_velocity(d, f"actors[{i}]"),
-            )
-            for i, d in enumerate(doc.get("actors", []))
+            Actor(surface=_clutter_surface(d), velocity=tuple(d.get("velocity", (0.0, 0.0, 0.0))))
+            for d in doc.get("actors", [])
         ),
     )
     robot_pose = _pose_from_obj(doc["robot_pose"], "robot_pose")
@@ -331,9 +365,9 @@ def _parse_config(path: Path, overrides: dict) -> ExperimentConfig:
         if "initial_pose" in doc
         else robot_pose
     )
-    prism = _spec(PrismSpec, "prism", _section(doc, "prism"))
-    map_density = float(_setting(doc, "map_density_per_m2", 400.0))
-    if not 0.0 < map_density < math.inf:
+    prism = _spec(PrismSpec, doc.get("prism", {}))
+    map_density = float(doc.get("map_density_per_m2", 400.0))
+    if not map_density > 0.0:
         raise ValueError("map_density_per_m2: expected a finite number > 0")
     return ExperimentConfig(
         plan=plan,
@@ -350,11 +384,11 @@ def _parse_config(path: Path, overrides: dict) -> ExperimentConfig:
         map_density_per_m2=map_density,
         robot_pose=robot_pose,
         initial_pose=initial_pose,
-        n_scans=_setting(doc, "n_scans", 300),
-        n_executions=_setting(doc, "n_executions", 3),
-        seed=int(overrides.get("seed", _setting(doc, "seed", 0))),
+        n_scans=doc.get("n_scans", 300),
+        n_executions=doc.get("n_executions", 3),
+        seed=int(overrides.get("seed", doc.get("seed", 0))),
         out_dir=Path(overrides.get("out_dir", base / doc.get("out_dir", "out"))),
-        scan_period_s=float(_setting(doc, "scan_period_s", 0.2)),
+        scan_period_s=float(doc.get("scan_period_s", 0.2)),
     )
 
 

@@ -1,11 +1,10 @@
 """Building models: triangulated surfaces, floorplan extrusion, reference
-subsets, deviation injection, point-map sampling, the floorplan and
-reference-set readers, and named-group mesh output.
+subsets, deviation injection, point-map sampling and named-group mesh
+output.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -457,36 +456,3 @@ def save_model(model: BuildingModel, path) -> None:
             lines.append(f"f {base} {base + 1} {base + 2}")
         offset += len(verts)
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# JSON inputs: floorplan and reference-set files
-# ---------------------------------------------------------------------------
-
-
-def load_floorplan(path) -> Floorplan2D:
-    """Read `{"walls": [{"start", "end", "thickness"}], "wall_height", "floor"}`."""
-    doc = json.loads(Path(path).read_text())
-    walls = tuple(
-        WallSegment(
-            start=np.array(w["start"], dtype=np.float64),
-            end=np.array(w["end"], dtype=np.float64),
-            thickness=float(w["thickness"]),
-            id=w.get("id"),
-        )
-        for w in doc["walls"]
-    )
-    return Floorplan2D(
-        walls=walls,
-        wall_height=float(doc["wall_height"]),
-        floor_outline=np.array(doc["floor"], dtype=np.float64),
-    )
-
-
-def load_reference_set(path) -> ReferenceSet:
-    """Read a JSON list of surface id strings."""
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, list) or not all(isinstance(x, str) for x in doc):
-        raise ValueError("reference set file must be a JSON list of strings")
-    return ReferenceSet(tuple(doc))
-

@@ -224,8 +224,6 @@ class DensityOracleParams:
     def __post_init__(self):
         if self.sigma < 0 or not (0 <= self.corruption_rate <= 1):
             raise ValueError("sigma must be >= 0 and corruption rate within [0, 1]")
-        if isinstance(self.corrupt_surface_ids, str):
-            raise ValueError("corrupt surface ids must be a list of ids, not a string")
         if self.corrupt_surface_ids is not None:
             object.__setattr__(
                 self, "corrupt_surface_ids", tuple(self.corrupt_surface_ids)

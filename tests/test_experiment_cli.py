@@ -1,5 +1,7 @@
 import dataclasses
+import inspect
 import json
+import re
 import subprocess
 import sys
 import threading
@@ -11,6 +13,7 @@ import pytest
 from conftest import src_env
 from planloc import cli, experiment, registration, sensor_sim
 from planloc.experiment import (
+    SCHEMA,
     ConfigError,
     METHOD_MATRIX,
     assemble_scene,
@@ -20,7 +23,7 @@ from planloc.experiment import (
     run_matrix,
 )
 from planloc.fusion import FusionConfig
-from planloc.geometry import compose
+from planloc.geometry import RigidTransform, compose
 from planloc.metrics import TrialRecord
 from planloc.registration import SCAN_METHODS, LocalizationResult, localize, result_record
 from planloc.sensor_sim import (
@@ -159,10 +162,12 @@ class TestConfig:
             ({"n_scans": "2"}, "n_scans"),
             ({"n_executions": True}, "n_executions"),
             ({"seed": 1.5}, "seed"),
+            ({"schema": 1.0}, "schema"),
         ],
         ids=[
             "icp_float", "selective_icp_float", "cameras_float", "lidar_float",
             "top_level_float", "top_level_string", "top_level_bool", "seed_float",
+            "schema_float",
         ],
     )
     def test_integer_setting_must_be_an_integer(self, tmp_path, capsys, extra, where):
@@ -185,10 +190,13 @@ class TestConfig:
             ),
             ({"map_density_per_m2": 0}, "map_density_per_m2: expected a finite number > 0"),
             ({"map_density_per_m2": -5.0}, "map_density_per_m2: expected a finite number > 0"),
+            ({"scan_period_s": float("nan")}, "scan_period_s: expected a number"),
+            ({"icp": {"huber_scale_m": float("inf")}}, "icp: huber_scale_m: expected a number"),
         ],
         ids=[
             "density_bool", "density_string", "period_string", "icp_string", "delta_bool",
-            "elevation_string", "density_zero", "density_negative",
+            "elevation_string", "density_zero", "density_negative", "period_nan",
+            "icp_infinity",
         ],
     )
     def test_float_setting_must_be_a_number(self, tmp_path, capsys, extra, message):
@@ -221,6 +229,56 @@ class TestConfig:
         moving = {**actor, "id": "cart", "velocity": [0, 1, 0.5]}
         cfg = load_config(tiny_config(tmp_path, actors=[actor, moving]))
         assert [a.velocity for a in cfg.scene.actors] == [(0.0, 0.0, 0.0), (0, 1, 0.5)]
+
+    @pytest.mark.parametrize(
+        "section, build, special, fixed",
+        [
+            (
+                "lidar", sensor_sim.LidarSpec,
+                {"rings", "elevation_min_deg", "elevation_max_deg"}, {"ring_elevations_deg"},
+            ),
+            ("cameras", sensor_sim.default_camera_rig, set(), set()),
+            ("prism", sensor_sim.PrismSpec, set(), set()),
+            ("density_oracle", sensor_sim.DensityOracleParams, set(), set()),
+            ("fusion", FusionConfig, {"delta", "delta_prime"}, set()),
+            ("icp", registration.IcpConfig, set(), set()),
+            ("selective", registration.SelectiveConfig, {"icp"}, {"full_icp", "selective_icp"}),
+        ],
+    )
+    def test_section_keys_are_builder_parameters(self, section, build, special, fixed):
+        """Each settings section's schema keys, renamed and bar its special
+        keys, are the parameters its builder takes, bar those set for it."""
+        keys = set(SCHEMA["config"][section]) - special
+        params = set(inspect.signature(build).parameters) - fixed
+        assert {experiment._PARAM.get(k, k) for k in keys} == params
+
+    def test_readme_schema_lists_the_schema_keys(self):
+        """README's config example names every key of the config and
+        floorplan schemas, and no other."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("### Config schema (version 1)")[1].split("```")[1]
+
+        def keys(kind) -> set:
+            if isinstance(kind, list):
+                return keys(kind[0])
+            if isinstance(kind, dict):
+                return set(kind).union(*map(keys, kind.values()))
+            return set()
+
+        assert set(re.findall(r'"(\w+)":', block)) == keys(SCHEMA["config"]) | keys(
+            SCHEMA["floorplan"]
+        )
+
+    def test_pose_file_takes_either_rotation_layout(self, tmp_path):
+        rot = RigidTransform.from_rotvec([0.0, 0.0, 0.3]).rotation
+        poses = []
+        for r in (rot.ravel().tolist(), rot.tolist()):
+            path = tmp_path / "pose.json"
+            path.write_text(json.dumps({"r": r, "t": [1.0, 2.0, 0.5]}))
+            poses.append(experiment.load_pose(path))
+        for pose in poses:
+            np.testing.assert_array_equal(pose.rotation, rot)
+            np.testing.assert_array_equal(pose.translation, [1.0, 2.0, 0.5])
 
     def test_bad_schema_rejected(self, tmp_path):
         path = tmp_path / "exp.json"
@@ -302,9 +360,9 @@ class TestBuildScene:
                 ]},
                 "missing required field 'thickness'",
             ),
-            ("refs.json", lambda d: {"ids": d}, "reference set file must be a JSON list of strings"),
+            ("refs.json", lambda d: {"ids": d}, "expected a list of strings"),
             ("refs.json", lambda d: d + ["wall_z"], "unknown surface id 'wall_z'"),
-            ("exp.json", lambda d: [], "must hold a JSON object, not list"),
+            ("exp.json", lambda d: [], "expected an object"),
             (
                 "exp.json",
                 lambda d: {**d, "lidar": {**d["lidar"], "ring": 4}},
@@ -355,7 +413,12 @@ class TestBuildScene:
             (
                 "exp.json",
                 lambda d: {**d, "density_oracle": {"corrupt_surfaces": "wall_a"}},
-                "corrupt surface ids must be a list of ids, not a string",
+                "density_oracle: corrupt_surfaces: expected a list of strings",
+            ),
+            (
+                "exp.json",
+                lambda d: {**d, "density_oracle": {"corrupt_surfaces": ["wall_a", "wall_zz"]}},
+                "unknown surface id 'wall_zz'",
             ),
             (
                 "exp.json",
@@ -390,6 +453,68 @@ class TestBuildScene:
                 lambda d: {**d, "prism": {"offest": [0.1, 0.0, 0.4]}},
                 "prism: unknown field 'offest'",
             ),
+            (
+                "exp.json",
+                lambda d: {**d, "robot_pose": {"translation": [2.5, 2.5, 0.45], "yaw_deg": "45"}},
+                "robot_pose: yaw_deg: expected a number",
+            ),
+            (
+                "exp.json",
+                lambda d: {**d, "robot_pose": {"translation": [2.5, 2.5]}},
+                "robot_pose: translation: expected 3 numbers",
+            ),
+            (
+                "exp.json",
+                lambda d: {**d, "initial_pose": {"quaternion": ["1", "0", "0", "0"]}},
+                "initial_pose: quaternion: expected 4 numbers",
+            ),
+            (
+                "exp.json",
+                lambda d: {**d, "clutter": [
+                    {"id": "box", "center": [1.0, 1.0, 0.5], "size": [0.5, 0.5, True]}
+                ]},
+                "clutter[0]: size: expected 3 numbers",
+            ),
+            (
+                "exp.json",
+                lambda d: {**d, "clutter": [
+                    {"id": "box", "center": "1 1 0.5", "size": [0.5, 0.5, 1.0]}
+                ]},
+                "clutter[0]: center: expected 3 numbers",
+            ),
+            (
+                "exp.json",
+                lambda d: {**d, "clutter": [
+                    {"id": 7, "center": [1.0, 1.0, 0.5], "size": [0.5, 0.5, 1.0]}
+                ]},
+                "clutter[0]: id: expected a string",
+            ),
+            (
+                "exp.json",
+                lambda d: {**d, "prism": {"offset": "0.1 0 0.4"}},
+                "prism: offset: expected 3 numbers",
+            ),
+            (
+                "exp.json",
+                lambda d: {**d, "cameras": {**d["cameras"], "mount": "0 0 0.25"}},
+                "cameras: mount: expected 3 numbers",
+            ),
+            (
+                "exp.json",
+                lambda d: {**d, "deviation": [{"surfaces": "wall_c", "translation": [0, -0.3, 0]}]},
+                "deviation[0]: surfaces: expected a list of strings",
+            ),
+            (
+                "plan.json",
+                lambda d: {**d, "walls": [{**d["walls"][0], "thickness": "0.2"}, *d["walls"][1:]]},
+                "walls[0]: thickness: expected a number",
+            ),
+            ("plan.json", lambda d: {**d, "wall_height": True}, "wall_height: expected a number"),
+            (
+                "plan.json",
+                lambda d: {**d, "walls": [*d["walls"][:3], {**d["walls"][3], "thicknes": 0.2}]},
+                "walls[3]: unknown field 'thicknes'",
+            ),
         ],
         ids=[
             "clutter_without_size", "actor_without_id", "floorplan_without_walls",
@@ -398,9 +523,13 @@ class TestBuildScene:
             "density_oracle_misspelt_key", "fusion_misspelt_key", "icp_misspelt_key",
             "selective_misspelt_key", "selective_icp_misspelt_key", "field_name_alias",
             "icp_not_an_object", "lidar_not_an_object", "selective_icp_not_an_object",
-            "corrupt_surfaces_a_string", "robot_pose_misspelt_key", "deviation_misspelt_key",
-            "top_level_misspelt_key", "clutter_misspelt_key", "actor_misspelt_key",
-            "prism_misspelt_key",
+            "corrupt_surfaces_a_string", "unknown_corrupt_surface", "robot_pose_misspelt_key",
+            "deviation_misspelt_key", "top_level_misspelt_key", "clutter_misspelt_key",
+            "actor_misspelt_key", "prism_misspelt_key", "yaw_deg_a_string",
+            "translation_two_numbers", "quaternion_strings", "clutter_size_bool",
+            "clutter_center_a_string", "clutter_id_an_integer", "prism_offset_a_string",
+            "cameras_mount_a_string", "deviation_surfaces_a_string", "wall_thickness_a_string",
+            "wall_height_bool", "wall_misspelt_key",
         ],
     )
     def test_malformed_input_exits_two_naming_file(self, tmp_path, name, edit, message):
@@ -813,33 +942,35 @@ class TestLocalizeOnce:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["outcome"] == "localized"
 
-    def test_init_pose_must_be_an_object(self, tmp_path):
+    @pytest.mark.parametrize(
+        "pose, message",
+        [
+            ([], "expected an object"),
+            ({"translaton": [2.5, 2.5, 0.45], "yaw_deg": 3}, "unknown field 'translaton'"),
+            (
+                {"r": ["1", "0", "0", "0", "1", "0", "0", "0", "1"], "t": [2.5, 2.5, 0.45]},
+                "r: expected 9 numbers or 3 rows of 3 numbers",
+            ),
+            (
+                {"r": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "t": ["2.5", "2.5", "0.45"]},
+                "t: expected 3 numbers",
+            ),
+        ],
+        ids=["not_an_object", "misspelt_key", "r_strings", "t_strings"],
+    )
+    def test_malformed_init_pose_exits_two(self, tmp_path, pose, message):
         cfg_path = tiny_config(tmp_path)
         scan_path = tmp_path / "scan.csv"
         scan_path.write_text("x,y,z,class\n")
         pose_path = tmp_path / "init.json"
-        pose_path.write_text("[]")
+        pose_path.write_text(json.dumps(pose))
         proc = run_cli(
             "localize-once", "--config", str(cfg_path), "--scan", str(scan_path),
             "--init-pose", str(pose_path),
         )
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert proc.stderr == f"error: {pose_path}: must hold a JSON object, not list\n"
-
-    def test_init_pose_rejects_an_unknown_field(self, tmp_path):
-        cfg_path = tiny_config(tmp_path)
-        scan_path = tmp_path / "scan.csv"
-        scan_path.write_text("x,y,z,class\n")
-        pose_path = tmp_path / "init.json"
-        pose_path.write_text(json.dumps({"translaton": [2.5, 2.5, 0.45], "yaw_deg": 3}))
-        proc = run_cli(
-            "localize-once", "--config", str(cfg_path), "--scan", str(scan_path),
-            "--init-pose", str(pose_path),
-        )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr == f"error: {pose_path}: unknown field 'translaton'\n"
+        assert proc.stderr == f"error: {pose_path}: {message}\n"
 
     @pytest.mark.parametrize(
         "variant, densities, message",

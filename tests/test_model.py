@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from planloc.experiment import load_floorplan, load_reference_set
 from planloc.geometry import RigidTransform
 from planloc.model import (
     Deviation,
@@ -15,8 +16,6 @@ from planloc.model import (
     WallSegment,
     apply_deviation,
     extrude_floorplan,
-    load_floorplan,
-    load_reference_set,
     make_box_surface,
     sample_model,
     triangulate_polygon,
