@@ -233,6 +233,8 @@ def load_pose(path) -> RigidTransform:
 def _parse_pose(path: Path) -> RigidTransform:
     doc = _load(path, "pose")
     if "r" in doc or "t" in doc:
+        if doc.keys() & _POSE.keys():
+            raise ValueError("give either r and t or translation/yaw_deg/quaternion, not both")
         return RigidTransform(np.reshape(doc["r"], (3, 3)), doc["t"])
     return _pose_from_obj(doc, "")
 
@@ -369,6 +371,9 @@ def _parse_config(path: Path, overrides: dict) -> ExperimentConfig:
     map_density = float(doc.get("map_density_per_m2", 400.0))
     if not map_density > 0.0:
         raise ValueError("map_density_per_m2: expected a finite number > 0")
+    seed = overrides.get("seed", doc.get("seed", 0))
+    if seed < 0:
+        raise ValueError("seed: expected an integer >= 0")
     return ExperimentConfig(
         plan=plan,
         references=references,
@@ -386,7 +391,7 @@ def _parse_config(path: Path, overrides: dict) -> ExperimentConfig:
         initial_pose=initial_pose,
         n_scans=doc.get("n_scans", 300),
         n_executions=doc.get("n_executions", 3),
-        seed=int(overrides.get("seed", doc.get("seed", 0))),
+        seed=int(seed),
         out_dir=Path(overrides.get("out_dir", base / doc.get("out_dir", "out"))),
         scan_period_s=float(doc.get("scan_period_s", 0.2)),
     )

@@ -20,11 +20,17 @@ POINT_CLASSES = ("building", "clutter", "actor")
 
 _RAY_EPS = 1e-9
 _CHUNK = 2048
-_CELL_DEG = 8.0  # ray-group cell size of the raycast broad phase
-_CULL_PAD_RAD = 1e-6  # covers rounding in the cull's angles
-# rays x triangles a ray group holds at least: a smaller group's cull saves
-# less than the fixed numpy cost of one more kernel call
-_GROUP_PAIRS = 16384
+# Raycast broad phase, see `_raycast`. A hit the kernel reports lies within a
+# hit margin of its triangle: a fraction of its longest edge plus a floor, far
+# past the kernel's 1e-12 barycentric tolerance and its rounding.
+_HIT_MARGIN_REL, _HIT_MARGIN_M = 1e-6, 1e-9
+_NEAR = 1000.0  # hit margins: every ray tests a triangle this near the origin
+_FACE_SLACK = 3.0 / _NEAR  # widens face boxes past what a hit margin can move a hit
+_FACE_AXES = np.repeat([[0, 1, 2], [1, 0, 2], [2, 0, 1]], 2, axis=0)  # per face: w, b, c
+_CELL = 0.25  # side of a square ray-group cell on a face plane
+# rays a group holds at least: a smaller group's cull saves less than the
+# fixed numpy cost of one more kernel call
+_GROUP_RAYS = 256
 
 
 @dataclass(frozen=True)
@@ -276,13 +282,26 @@ def _raycast(origin: np.ndarray, dirs: np.ndarray, triangles: np.ndarray):
     Returns (t (K,), tri_index (K,)); t is inf and tri_index -1 on miss; of
     equally near hits the lowest triangle index wins.
 
-    Rays are grouped by direction (`_ray_groups`), and each group is tested
-    (Moller-Trumbore) only against the triangles its bounding cone can
-    reach: a triangle's padded bounding sphere, seen from the origin, spans an
-    angle beta about its centre direction, and a group's rays lie within
-    alpha of their mean direction, so any hit of the group lies within
-    alpha + beta of that axis. The cull drops no hit: results equal testing
-    every ray against every triangle, bit for bit.
+    Each ray belongs to the cube face of its largest-magnitude component
+    (depth w along it, lateral components b and c), and rays are grouped by
+    square cells of their face's plane w = 1 (`_cell_groups`). A group is
+    tested (Moller-Trumbore) only against the triangles whose box on a face
+    plane (`_face_boxes`) overlaps the box of the group's rays of that face.
+    The cull drops no hit, so results equal testing every ray against every
+    triangle, bit for bit. Let X be a hit the kernel reports and Y a point of
+    the triangle within the hit margin m of X (`_HIT_MARGIN_*`):
+    - X lies in the face's cone |b|, |c| <= w, since the ray does.
+    - Near-origin guard: every group keeps a triangle whose bounding box
+      comes within (_NEAR + 1) m of the origin on every axis. Otherwise X is
+      over _NEAR m from the origin on some axis, so w(X) > _NEAR m. Then Y
+      lies in the cone widened by 2 / (_NEAR - 1), and the ray's point
+      (b, c) / w of the plane, that of X, lies within (2 + 2 / (_NEAR - 1)) /
+      _NEAR of Y's on each axis.
+    - The triangle's part inside the widened cone is a convex polygon, and
+      projecting from the origin maps it onto the convex hull of its
+      projected corners, which the box holds. The box is widened by
+      `_FACE_SLACK`, more than both bounds above.
+    - Rays of zero length hit nothing in the kernel and are not tested.
     """
     k = len(dirs)
     best_t = np.full(k, np.inf)
@@ -296,29 +315,28 @@ def _raycast(origin: np.ndarray, dirs: np.ndarray, triangles: np.ndarray):
     qvec = np.cross(tvec, e1)  # (M, 3)
     t_num = np.einsum("mj,mj->m", e2, qvec)
 
-    # per triangle: direction of its bounding sphere's centre and the angle
-    # the sphere spans about it; padded past the kernel's 1e-12 tolerance
-    centre = triangles.mean(axis=1)
-    radius = np.linalg.norm(triangles - centre[:, None], axis=2).max(axis=1)
-    radius = radius * (1.0 + 1e-6) + 1e-9
-    to_centre = centre - origin
-    dist = np.linalg.norm(to_centre, axis=1)
-    outside = dist > radius
-    dist = np.where(outside, dist, 1.0)
-    centre_dir = to_centre / dist[:, None]
-    beta = np.where(outside, np.arcsin(np.minimum(radius / dist, 1.0)), np.pi)
-
-    length = np.linalg.norm(dirs, axis=1)
-    unit = dirs / np.where(length > 0, length, 1.0)[:, None]
-    for rays in _ray_groups(unit, -(-_GROUP_PAIRS // len(triangles))):
-        axis = unit[rays].sum(axis=0)
-        axis /= max(np.linalg.norm(axis), 1e-300)  # any axis is exact; 0 keeps all
-        alpha = np.arccos(np.clip(unit[rays] @ axis, -1.0, 1.0)).max()
-        reach = alpha + beta + _CULL_PAD_RAD
-        kept = np.flatnonzero((reach >= np.pi) | (centre_dir @ axis >= np.cos(reach)))
+    rel = triangles - origin  # (M, 3, 3) vertices about the origin
+    edge = np.linalg.norm(triangles - np.roll(triangles, 1, axis=1), axis=2).max(axis=1)
+    reach = (_NEAR + 1.0) * (_HIT_MARGIN_REL * edge + _HIT_MARGIN_M)
+    near = np.all((rel.min(axis=1) <= reach[:, None]) & (rel.max(axis=1) >= -reach[:, None]), 1)
+    lo, hi = _face_boxes(rel)  # (6, M, 2)
+    lo[:, near], hi[:, near] = -np.inf, np.inf
+    mag = np.abs(dirs)
+    rays = np.flatnonzero(mag.max(axis=1) > 0)
+    major = np.argmax(mag[rays], axis=1)
+    depth = np.take_along_axis(dirs[rays], major[:, None], axis=1)
+    face = 2 * major + (depth[:, 0] < 0)
+    coords = np.take_along_axis(dirs[rays], _FACE_AXES[2 * major, 1:], axis=1) / np.abs(depth)
+    for group in _cell_groups(face, coords):
+        keep = np.zeros(len(triangles), dtype=bool)
+        for f in np.unique(face[group]):
+            on_f = coords[group[face[group] == f]]
+            keep |= np.all((lo[f] <= on_f.max(axis=0)) & (hi[f] >= on_f.min(axis=0)), axis=1)
+        kept = np.flatnonzero(keep)
         if len(kept) == 0:
             continue
-        d = dirs[rays]  # (C, 3)
+        g = rays[group]
+        d = dirs[g]  # (C, 3)
         pvec = np.cross(d[:, None, :], e2[None, kept, :])  # (C, m, 3)
         det = np.einsum("mj,cmj->cm", e1[kept], pvec)
         ok = np.abs(det) > 1e-12
@@ -333,27 +351,66 @@ def _raycast(origin: np.ndarray, dirs: np.ndarray, triangles: np.ndarray):
         tri = np.argmin(t, axis=1)
         tmin = t[np.arange(len(d)), tri]
         hit = np.isfinite(tmin)
-        best_t[rays] = np.where(hit, tmin, np.inf)
-        best_tri[rays] = np.where(hit, kept[tri], -1)
+        best_t[g] = np.where(hit, tmin, np.inf)
+        best_tri[g] = np.where(hit, kept[tri], -1)
     return best_t, best_tri
 
 
-def _ray_groups(unit: np.ndarray, min_rays: int) -> list[np.ndarray]:
-    """Indices of the rays in each nonempty azimuth x elevation cell of
-    `_CELL_DEG`, taken in cell order; consecutive cells are merged until a
-    group holds at least `min_rays` rays, and a group holds at most `_CHUNK`."""
-    n_az = int(np.ceil(360.0 / _CELL_DEG))
-    n_el = int(np.ceil(180.0 / _CELL_DEG))
-    az = np.arctan2(unit[:, 1], unit[:, 0]) + np.pi  # [0, 2 pi]
-    el = np.arcsin(np.clip(unit[:, 2], -1.0, 1.0)) + np.pi / 2  # [0, pi]
-    az_cell = np.minimum((az * (n_az / (2 * np.pi))).astype(np.int64), n_az - 1)
-    el_cell = np.minimum((el * (n_el / np.pi)).astype(np.int64), n_el - 1)
-    # serpentine order: odd bands run backwards, so consecutive cells touch
-    cell = el_cell * n_az + np.where(el_cell % 2, n_az - 1 - az_cell, az_cell)
-    order = np.argsort(cell, kind="stable")
+def _face_boxes(rel: np.ndarray):
+    """Per cube face f (axis f // 2, negative when f is odd) and triangle of
+    `rel` (M, 3, 3): the box (lo, hi), each (6, M, 2), of the projection onto
+    the face's plane w = 1 of the triangle's part inside the face's cone
+    |b|, |c| <= (1 + `_FACE_SLACK`) w, widened by `_FACE_SLACK`; empty (lo
+    inf, hi -inf) where no part lies in the cone."""
+    w, b, c = rel[:, :, _FACE_AXES].transpose(3, 2, 0, 1)  # each (6, M, 3)
+    w[1::2] *= -1.0
+    wide = (1.0 + _FACE_SLACK) * w
+    side = np.stack([wide - b, wide + b, wide - c, wide + c])  # (4, 6, M, 3), >= 0 inside
+    side_next = np.roll(side, -1, axis=-1)
+    corner = np.array([[1.0, sb, sc] for sb in (-1.0, 1.0) for sc in (-1.0, 1.0)])
+    corner[:, 1:] *= 1.0 + _FACE_SLACK
+    # the part is a convex polygon; its corners are the vertices inside the
+    # cone, the points inside where an edge to the next vertex crosses a side
+    # plane, and the points where a corner ray of the cone pierces the triangle
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = side / (side - side_next)
+        at_w, at_b, at_c = (x + frac * (np.roll(x, -1, axis=-1) - x) for x in (w, b, c))
+        at_side = side[:, None] + frac * (side_next - side)[:, None]  # (4, 4, 6, M, 3)
+        tol = 1e-9 * (np.abs(at_w) + np.abs(at_b) + np.abs(at_c))
+        crossed = ((side >= 0) != (side_next >= 0)) & np.all(at_side >= -tol, axis=0)
+        p = np.stack([w, b, c], axis=-1)
+        e1, e2, tvec = p[:, :, 1] - p[:, :, 0], p[:, :, 2] - p[:, :, 0], -p[:, :, 0]
+        pvec = np.cross(corner[:, None, None, :], e2)  # (4, 6, M, 3)
+        qvec = np.cross(tvec, e1)
+        det = np.einsum("fmj,rfmj->rfm", e1, pvec)
+        u = np.einsum("fmj,rfmj->rfm", tvec, pvec) / det
+        v = np.einsum("rj,fmj->rfm", corner, qvec) / det
+        t = np.einsum("fmj,fmj->fm", e2, qvec) / det
+        pierced = (u >= -1e-9) & (v >= -1e-9) & (u + v <= 1.0 + 1e-9) & (t > 0)
+        inside = np.concatenate([np.all(side >= 0, axis=0), *crossed, *pierced[..., None]], -1)
+        shape = w.shape[:2] + (4,)
+        proj = [
+            np.concatenate([b / w, *(at_b / at_w), np.broadcast_to(corner[:, 1], shape)], axis=-1),
+            np.concatenate([c / w, *(at_c / at_w), np.broadcast_to(corner[:, 2], shape)], axis=-1),
+        ]
+    lo = np.stack([np.where(inside, x, np.inf).min(axis=-1) for x in proj], axis=-1)
+    hi = np.stack([np.where(inside, x, -np.inf).max(axis=-1) for x in proj], axis=-1)
+    return lo - _FACE_SLACK, hi + _FACE_SLACK
+
+
+def _cell_groups(face: np.ndarray, coords: np.ndarray) -> list[np.ndarray]:
+    """Indices of the rays in each nonempty `_CELL` square cell of a cube
+    face (`face` (C,), `coords` (C, 2) in [-1, 1]), taken face by face in cell
+    order; consecutive cells are merged until a group holds at least
+    `_GROUP_RAYS` rays, and a group holds at most `_CHUNK`."""
+    n = int(np.ceil(2.0 / _CELL))
+    cell = np.clip(((coords + 1.0) / _CELL).astype(np.int64), 0, n - 1)
+    # serpentine order: odd rows run backwards, so consecutive cells touch
+    key = (face * n + cell[:, 0]) * n + np.where(cell[:, 0] % 2, n - 1 - cell[:, 1], cell[:, 1])
+    order = np.argsort(key, kind="stable")
     bounds = [0]
-    for start in np.flatnonzero(np.diff(cell[order])) + 1:
-        if start - bounds[-1] >= min_rays:
+    for start in np.flatnonzero(np.diff(key[order])) + 1:
+        if start - bounds[-1] >= _GROUP_RAYS:
             bounds.append(start)
     bounds.append(len(order))
     return [

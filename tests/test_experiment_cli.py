@@ -205,6 +205,14 @@ class TestConfig:
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("source", ["config", "override"])
+    def test_negative_seed_exits_two(self, tmp_path, capsys, source):
+        path = tiny_config(tmp_path, seed=-1 if source == "config" else 5)
+        flags = ["--seed", "-1"] if source == "override" else []
+        assert cli.main(["run-matrix", "--config", str(path), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {path}: seed: expected an integer >= 0\n"
+        assert not (tmp_path / "out").exists()
+
     def test_float_setting_accepts_an_integer(self, tmp_path):
         cfg = load_config(tiny_config(tmp_path, scan_period_s=1, fusion={"delta": 1}))
         assert cfg.scan_period_s == 1.0 and cfg.delta == 1.0
@@ -955,8 +963,19 @@ class TestLocalizeOnce:
                 {"r": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "t": ["2.5", "2.5", "0.45"]},
                 "t: expected 3 numbers",
             ),
+            (
+                {"r": [1, 0, 0, 0, 1, 0, 0, 0, 1], "t": [2.5, 2.5, 0.45], "yaw_deg": 45},
+                "give either r and t or translation/yaw_deg/quaternion, not both",
+            ),
+            (
+                {"t": [2.5, 2.5, 0.45], "quaternion": [1, 0, 0, 0]},
+                "give either r and t or translation/yaw_deg/quaternion, not both",
+            ),
         ],
-        ids=["not_an_object", "misspelt_key", "r_strings", "t_strings"],
+        ids=[
+            "not_an_object", "misspelt_key", "r_strings", "t_strings", "r_t_with_yaw",
+            "t_with_quaternion",
+        ],
     )
     def test_malformed_init_pose_exits_two(self, tmp_path, pose, message):
         cfg_path = tiny_config(tmp_path)

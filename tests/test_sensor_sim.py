@@ -5,7 +5,9 @@ import pytest
 
 from planloc import sensor_sim
 from planloc.geometry import RigidTransform, compose
-from planloc.model import BuildingModel, make_box_surface
+from planloc.model import (
+    BuildingModel, Floorplan2D, WallSegment, extrude_floorplan, make_box_surface
+)
 from planloc.sensor_sim import (
     Actor,
     CameraSpec,
@@ -139,6 +141,48 @@ def raycast_cases():
         np.concatenate([[[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], cap, cap * [1, 1, -1]]),
         np.concatenate([ceiling, floor, triangle_soup(rng, 30, 4.0)]),
     )
+    # planes 1e-8 to 1e-5 m from the origin at random rotations, generic and
+    # axis-aligned: triangles around the plane's foot, hit within 1e-6 m of
+    # the origin, and triangles to the side, met by rays grazing the plane
+    # across their edges
+    around, aside, grazing = [], [], []
+    for h in np.repeat([1e-8, 1e-7, 1e-6, 1e-5], 2):
+        if len(around) % 2:
+            rotation = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        else:
+            rotation = np.eye(3)[rng.permutation(3)] * rng.choice([-1.0, 1.0], 3)
+        around.append(np.array([[3.0, 0.0, h], [-1.5, 2.6, h], [-1.5, -2.6, h]]) @ rotation.T)
+        side = np.array([[4.0, -0.5, h], [6.0, 0.0, h], [4.0, 0.5, h]])
+        aside.append(side @ rotation.T)
+        uv = rng.uniform(-0.05, 1.05, (300, 2))
+        aim = side[0] + uv[:, :1] * (side[1] - side[0]) + uv[:, 1:] * (side[2] - side[0])
+        aim[:, 2] += rng.normal(0.0, 0.1 * h, 300)
+        grazing.append(aim @ rotation.T)
+    cases["plane_near_origin"] = (np.zeros(3), unit_rows(rng, 2000), np.stack(around))
+    cases["grazing_plane_near_origin"] = (
+        np.zeros(3), np.concatenate(grazing), np.stack(aside)
+    )
+    # rays on the edges (|x| = |y|) and corners (|x| = |y| = |z|) of the cube faces
+    signs = np.array(np.meshgrid([-1, 1], [-1, 1], [-1, 1])).reshape(3, -1).T
+    edge = rng.uniform(0.1, 3.0, (200, 1)) * np.concatenate(
+        [np.repeat(signs, 25, 0)[:, :2], rng.uniform(-1, 1, (200, 1))], 1
+    )
+    corners = rng.uniform(0.1, 3.0, (400, 1)) * np.repeat(signs, 50, 0)
+    cases["face_edges_and_corners"] = (
+        np.zeros(3),
+        np.concatenate([edge, np.roll(edge, 1, axis=1), np.roll(edge, 2, axis=1), corners]),
+        np.concatenate([triangle_soup(rng, 150, 4.0), 3.0 * signs[:, None] * np.eye(3)]),
+    )
+    mixed = unit_rows(rng, 1000)
+    mixed[rng.random(1000) < 0.3] = 0.0
+    cases["zero_length_rows"] = (rng.uniform(-1, 1, 3), mixed, triangle_soup(rng, 60, 4.0))
+    # a tilted floor that straddles the planes x = 0, y = 0 and z = 0, so
+    # every cube face sees part of it
+    floor = np.array([[[-20.0, -20.0, 0.0], [20.0, -20.0, 0.0], [0.0, 25.0, 0.0]]])
+    floor[..., 2] = 0.2 * floor[..., 0] + 0.1 * floor[..., 1] - 0.5
+    cases["floor_straddles_every_face"] = (
+        np.zeros(3), np.concatenate([lidar_dirs, unit_rows(rng, 1000)]), floor
+    )
     cases["empty_scene"] = (np.zeros(3), unit_rows(rng, 100), np.zeros((0, 3, 3)))
     cases["zero_rays"] = (np.zeros(3), np.zeros((0, 3)), triangle_soup(rng, 10))
     return cases
@@ -229,15 +273,53 @@ class TestRaycast:
         y_t2 = hit_t2.points[hit_t2.classes == "actor", 1].mean()
         assert y_t2 - y_t0 == pytest.approx(2.0, abs=0.3)
 
-    @pytest.mark.parametrize("group_pairs", [1, sensor_sim._GROUP_PAIRS], ids=["cells", "merged"])
+    @pytest.mark.parametrize(
+        "cell, group_rays",
+        [(1 / 32, 1), (sensor_sim._CELL, sensor_sim._GROUP_RAYS)],
+        ids=["cells", "merged"],
+    )
     @pytest.mark.parametrize("case", list(RAYCAST_CASES))
-    def test_broad_phase_matches_all_pairs(self, case, group_pairs, monkeypatch):
-        monkeypatch.setattr(sensor_sim, "_GROUP_PAIRS", group_pairs)
+    def test_broad_phase_matches_all_pairs(self, case, cell, group_rays, monkeypatch):
+        monkeypatch.setattr(sensor_sim, "_CELL", cell)
+        monkeypatch.setattr(sensor_sim, "_GROUP_RAYS", group_rays)
         origin, dirs, triangles = RAYCAST_CASES[case]
         t, tri = _raycast(origin, dirs, triangles)
         ref_t, ref_tri = all_pairs_raycast(origin, dirs, triangles)
         assert t.tobytes() == ref_t.tobytes()
         np.testing.assert_array_equal(tri, ref_tri)
+
+    def test_scan_and_images_match_all_pairs(self, monkeypatch):
+        """The public simulators give the same bytes with the all-pairs loop,
+        in a 2 x 2 grid of rooms with clutter and a moving actor, seen by the
+        default LiDAR and camera rig at coarser steps."""
+        lines = [0.0, 4.0, 8.0]
+        walls = [WallSegment([x, 0], [x, 8], 0.2, f"x{x:g}") for x in lines] + [
+            WallSegment([0, y], [8, y], 0.2, f"y{y:g}") for y in lines
+        ]
+        plan = Floorplan2D(tuple(walls), 2.5, np.array([[0, 0], [8, 0], [8, 8], [0, 8]], float))
+        crate = make_box_surface("crate", [1.2, 2.8, 0.4], [0.6, 0.5, 0.8], yaw_rad=0.3)
+        walker = Actor(make_box_surface("walker", [2.9, 1.0, 0.9], [0.4, 0.4, 1.8]), (0.3, 0.1, 0))
+        scene = Scene(as_built=extrude_floorplan(plan), clutter=(crate,), actors=(walker,))
+        pose = RigidTransform.from_rotvec([0.0, 0.0, 0.4], [2.0, 2.2, 0.45])
+        lidar, cameras = LidarSpec(azimuth_step_deg=2.0), default_camera_rig(width=40, height=30)
+        oracle = DensityOracleParams()
+
+        def simulate():
+            scan = raycast_scan(scene, pose, lidar, time_s=0.6, seed=3)
+            return scan, [
+                render_density_image(scene, compose(pose, cam.extrinsic), cam, oracle, 0.6, seed=4)
+                for cam in cameras
+            ]
+
+        scan, images = simulate()
+        monkeypatch.setattr(sensor_sim, "_raycast", all_pairs_raycast)
+        ref_scan, ref_images = simulate()
+        assert set(scan.classes) == {"building", "clutter", "actor"}
+        assert scan.points.tobytes() == ref_scan.points.tobytes()
+        np.testing.assert_array_equal(scan.classes, ref_scan.classes)
+        for image, ref in zip(images, ref_images):
+            assert image.values.tobytes() == ref.values.tobytes()
+            assert image.depth.tobytes() == ref.depth.tobytes()
 
     def test_lowest_index_wins_a_tie(self):
         origin, dirs, triangles = RAYCAST_CASES["duplicated_triangles"]
