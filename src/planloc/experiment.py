@@ -324,6 +324,8 @@ def _parse_config(path: Path, overrides: dict) -> ExperimentConfig:
         ring_elevations_deg=tuple(rings),
     )
     cameras = _spec(default_camera_rig, doc.get("cameras", {}))
+    if not cameras:
+        raise ValueError("cameras: count: expected an integer >= 1")
     oracle_doc = doc.get("density_oracle", {})
     if oracle_doc.get("corrupt_surfaces") == []:  # as when absent: every building surface
         oracle_doc = {**oracle_doc, "corrupt_surfaces": None}

@@ -24,8 +24,6 @@ _CHUNK = 2048
 # hit margin of its triangle: a fraction of its longest edge plus a floor, far
 # past the kernel's 1e-12 barycentric tolerance and its rounding.
 _HIT_MARGIN_REL, _HIT_MARGIN_M = 1e-6, 1e-9
-_NEAR = 1000.0  # hit margins: every ray tests a triangle this near the origin
-_FACE_SLACK = 3.0 / _NEAR  # widens face boxes past what a hit margin can move a hit
 _FACE_AXES = np.repeat([[0, 1, 2], [1, 0, 2], [2, 0, 1]], 2, axis=0)  # per face: w, b, c
 _CELL = 0.25  # side of a square ray-group cell on a face plane
 # rays a group holds at least: a smaller group's cull saves less than the
@@ -284,29 +282,27 @@ def _raycast(origin: np.ndarray, dirs: np.ndarray, triangles: np.ndarray):
 
     Each ray belongs to the cube face of its largest-magnitude component
     (depth w along it, lateral components b and c), and rays are grouped by
-    square cells of their face's plane w = 1 (`_cell_groups`). A group is
-    tested (Moller-Trumbore) only against the triangles whose box on a face
-    plane (`_face_boxes`) overlaps the box of the group's rays of that face.
-    The cull drops no hit, so results equal testing every ray against every
-    triangle, bit for bit. Let X be a hit the kernel reports and Y a point of
-    the triangle within the hit margin m of X (`_HIT_MARGIN_*`):
-    - X lies in the face's cone |b|, |c| <= w, since the ray does.
-    - Near-origin guard: every group keeps a triangle whose bounding box
-      comes within (_NEAR + 1) m of the origin on every axis. Otherwise X is
-      over _NEAR m from the origin on some axis, so w(X) > _NEAR m. Then Y
-      lies in the cone widened by 2 / (_NEAR - 1), and the ray's point
-      (b, c) / w of the plane, that of X, lies within (2 + 2 / (_NEAR - 1)) /
-      _NEAR of Y's on each axis.
-    - The triangle's part inside the widened cone is a convex polygon, and
-      projecting from the origin maps it onto the convex hull of its
-      projected corners, which the box holds. The box is widened by
-      `_FACE_SLACK`, more than both bounds above.
-    - Rays of zero length hit nothing in the kernel and are not tested.
+    square cells of their face's plane w = 1 (`_cell_groups`), so a group's
+    rays lie in the cone from the origin over the box of their (b, c) / w.
+    A group tests (Moller-Trumbore) every triangle bar those that one of five
+    planes through the origin parts from its cone by more than the triangle's
+    hit margin m (`_HIT_MARGIN_*`): a side plane of the cone, with all three
+    vertices outside it, or the plane parallel to the triangle's, with every
+    corner ray of the cone on its other side. The triangle and the cone are
+    the convex hulls of those vertices and rays, so such a plane parts them
+    by more than m; a hit the kernel reports lies in the cone, as its ray
+    does, and within m of its triangle, so the cull drops no hit and results
+    equal testing every pair, bit for bit. Side normals and corner rays are
+    exact in the box's bounds, so a box of zero width needs no care.
+    Rounding in the margins is a few ulps of the coordinates about the
+    origin, ~1e-11 m within 1e4 m and ~1e-10 m within 1e5 m, well below the
+    1e-9 m floor of m. Rays of zero length hit nothing and are not tested.
     """
-    k = len(dirs)
-    best_t = np.full(k, np.inf)
-    best_tri = np.full(k, -1, dtype=np.int64)
-    if len(triangles) == 0 or k == 0:
+    best_t = np.full(len(dirs), np.inf)
+    best_tri = np.full(len(dirs), -1, dtype=np.int64)
+    mag = np.abs(dirs)
+    rays = np.flatnonzero(mag.max(axis=1) > 0)
+    if len(triangles) == 0 or len(rays) == 0:
         return best_t, best_tri
     v0 = triangles[:, 0]
     e1 = triangles[:, 1] - v0
@@ -315,27 +311,43 @@ def _raycast(origin: np.ndarray, dirs: np.ndarray, triangles: np.ndarray):
     qvec = np.cross(tvec, e1)  # (M, 3)
     t_num = np.einsum("mj,mj->m", e2, qvec)
 
-    rel = triangles - origin  # (M, 3, 3) vertices about the origin
-    edge = np.linalg.norm(triangles - np.roll(triangles, 1, axis=1), axis=2).max(axis=1)
-    reach = (_NEAR + 1.0) * (_HIT_MARGIN_REL * edge + _HIT_MARGIN_M)
-    near = np.all((rel.min(axis=1) <= reach[:, None]) & (rel.max(axis=1) >= -reach[:, None]), 1)
-    lo, hi = _face_boxes(rel)  # (6, M, 2)
-    lo[:, near], hi[:, near] = -np.inf, np.inf
-    mag = np.abs(dirs)
-    rays = np.flatnonzero(mag.max(axis=1) > 0)
     major = np.argmax(mag[rays], axis=1)
     depth = np.take_along_axis(dirs[rays], major[:, None], axis=1)
     face = 2 * major + (depth[:, 0] < 0)
     coords = np.take_along_axis(dirs[rays], _FACE_AXES[2 * major, 1:], axis=1) / np.abs(depth)
-    for group in _cell_groups(face, coords):
-        keep = np.zeros(len(triangles), dtype=bool)
-        for f in np.unique(face[group]):
-            on_f = coords[group[face[group] == f]]
-            keep |= np.all((lo[f] <= on_f.max(axis=0)) & (hi[f] >= on_f.min(axis=0)), axis=1)
-        kept = np.flatnonzero(keep)
+    order, starts = _cell_groups(face, coords)
+    rays, face, coords = rays[order], face[order][starts], coords[order]
+    lo, hi = np.minimum.reduceat(coords, starts), np.maximum.reduceat(coords, starts)
+    # per group (G) the cone's four corner rays and four inward side normals
+    # in world axes, where w = sign * x[axis] and (b, c) = x[lateral]
+    n = len(starts)
+    groups, sides = np.arange(n)[:, None, None], np.arange(4)[:, None]
+    axis, lateral = _FACE_AXES[face, None, :1], _FACE_AXES[face, None, 1:]
+    sign = (1.0 - 2.0 * (face % 2))[:, None, None]
+    corner = np.zeros((n, 4, 3))
+    corner[groups, sides, axis] = sign
+    corner[groups, sides, lateral] = np.stack([lo, hi], 1)[:, [[0, 0], [0, 1], [1, 0], [1, 1]], [0, 1]]
+    side = np.zeros((n, 4, 3))  # b >= lo_b w, b <= hi_b w, c >= lo_c w, c <= hi_c w
+    side[groups, sides, lateral] = [[1, 0], [-1, 0], [0, 1], [0, -1]]
+    bound = np.stack([-lo[:, 0], hi[:, 0], -lo[:, 1], hi[:, 1]], axis=1)
+    side[groups, sides, axis] = sign * bound[..., None]
+
+    rel = triangles - origin  # (M, 3, 3) vertices about the origin
+    edge = np.linalg.norm(triangles - np.roll(triangles, 1, axis=1), axis=2).max(axis=1)
+    margin = (_HIT_MARGIN_REL * edge + _HIT_MARGIN_M)[:, None]
+    outside = (rel @ side.reshape(-1, 3).T).max(axis=1)  # (M, 4G)
+    skip = (outside < -margin * np.linalg.norm(side, axis=2).ravel()).reshape(-1, n, 4).any(2)
+    normal = np.cross(e1, e2)
+    height = np.einsum("mvj,mj->mv", rel, normal)  # (M, 3)
+    reach = margin[:, 0] * np.linalg.norm(normal, axis=1)
+    at_corner = (normal @ corner.reshape(-1, 3).T).reshape(-1, n, 4)
+    skip |= (at_corner >= 0).all(2) & (height.max(1) < -reach)[:, None]
+    skip |= (at_corner <= 0).all(2) & (height.min(1) > reach)[:, None]
+    for tested, first, last in zip(~skip.T, starts, [*starts[1:], len(rays)]):
+        kept = np.flatnonzero(tested)
         if len(kept) == 0:
             continue
-        g = rays[group]
+        g = rays[first:last]
         d = dirs[g]  # (C, 3)
         pvec = np.cross(d[:, None, :], e2[None, kept, :])  # (C, m, 3)
         det = np.einsum("mj,cmj->cm", e1[kept], pvec)
@@ -356,68 +368,26 @@ def _raycast(origin: np.ndarray, dirs: np.ndarray, triangles: np.ndarray):
     return best_t, best_tri
 
 
-def _face_boxes(rel: np.ndarray):
-    """Per cube face f (axis f // 2, negative when f is odd) and triangle of
-    `rel` (M, 3, 3): the box (lo, hi), each (6, M, 2), of the projection onto
-    the face's plane w = 1 of the triangle's part inside the face's cone
-    |b|, |c| <= (1 + `_FACE_SLACK`) w, widened by `_FACE_SLACK`; empty (lo
-    inf, hi -inf) where no part lies in the cone."""
-    w, b, c = rel[:, :, _FACE_AXES].transpose(3, 2, 0, 1)  # each (6, M, 3)
-    w[1::2] *= -1.0
-    wide = (1.0 + _FACE_SLACK) * w
-    side = np.stack([wide - b, wide + b, wide - c, wide + c])  # (4, 6, M, 3), >= 0 inside
-    side_next = np.roll(side, -1, axis=-1)
-    corner = np.array([[1.0, sb, sc] for sb in (-1.0, 1.0) for sc in (-1.0, 1.0)])
-    corner[:, 1:] *= 1.0 + _FACE_SLACK
-    # the part is a convex polygon; its corners are the vertices inside the
-    # cone, the points inside where an edge to the next vertex crosses a side
-    # plane, and the points where a corner ray of the cone pierces the triangle
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = side / (side - side_next)
-        at_w, at_b, at_c = (x + frac * (np.roll(x, -1, axis=-1) - x) for x in (w, b, c))
-        at_side = side[:, None] + frac * (side_next - side)[:, None]  # (4, 4, 6, M, 3)
-        tol = 1e-9 * (np.abs(at_w) + np.abs(at_b) + np.abs(at_c))
-        crossed = ((side >= 0) != (side_next >= 0)) & np.all(at_side >= -tol, axis=0)
-        p = np.stack([w, b, c], axis=-1)
-        e1, e2, tvec = p[:, :, 1] - p[:, :, 0], p[:, :, 2] - p[:, :, 0], -p[:, :, 0]
-        pvec = np.cross(corner[:, None, None, :], e2)  # (4, 6, M, 3)
-        qvec = np.cross(tvec, e1)
-        det = np.einsum("fmj,rfmj->rfm", e1, pvec)
-        u = np.einsum("fmj,rfmj->rfm", tvec, pvec) / det
-        v = np.einsum("rj,fmj->rfm", corner, qvec) / det
-        t = np.einsum("fmj,fmj->fm", e2, qvec) / det
-        pierced = (u >= -1e-9) & (v >= -1e-9) & (u + v <= 1.0 + 1e-9) & (t > 0)
-        inside = np.concatenate([np.all(side >= 0, axis=0), *crossed, *pierced[..., None]], -1)
-        shape = w.shape[:2] + (4,)
-        proj = [
-            np.concatenate([b / w, *(at_b / at_w), np.broadcast_to(corner[:, 1], shape)], axis=-1),
-            np.concatenate([c / w, *(at_c / at_w), np.broadcast_to(corner[:, 2], shape)], axis=-1),
-        ]
-    lo = np.stack([np.where(inside, x, np.inf).min(axis=-1) for x in proj], axis=-1)
-    hi = np.stack([np.where(inside, x, -np.inf).max(axis=-1) for x in proj], axis=-1)
-    return lo - _FACE_SLACK, hi + _FACE_SLACK
-
-
-def _cell_groups(face: np.ndarray, coords: np.ndarray) -> list[np.ndarray]:
-    """Indices of the rays in each nonempty `_CELL` square cell of a cube
-    face (`face` (C,), `coords` (C, 2) in [-1, 1]), taken face by face in cell
-    order; consecutive cells are merged until a group holds at least
-    `_GROUP_RAYS` rays, and a group holds at most `_CHUNK`."""
+def _cell_groups(face: np.ndarray, coords: np.ndarray):
+    """Rays (`face` (C,), `coords` (C, 2) in [-1, 1] on that cube face)
+    grouped by nonempty `_CELL` square cells, face by face in cell order:
+    returns (order, starts), the rays in group order and the index in it
+    where each group starts. Consecutive cells of one face are merged until a
+    group holds at least `_GROUP_RAYS` rays; a group never spans two faces
+    and holds at most `_CHUNK` rays."""
     n = int(np.ceil(2.0 / _CELL))
     cell = np.clip(((coords + 1.0) / _CELL).astype(np.int64), 0, n - 1)
     # serpentine order: odd rows run backwards, so consecutive cells touch
     key = (face * n + cell[:, 0]) * n + np.where(cell[:, 0] % 2, n - 1 - cell[:, 1], cell[:, 1])
     order = np.argsort(key, kind="stable")
+    key, face = key[order], face[order]
     bounds = [0]
-    for start in np.flatnonzero(np.diff(key[order])) + 1:
-        if start - bounds[-1] >= _GROUP_RAYS:
+    for start in np.flatnonzero(np.diff(key)) + 1:
+        if start - bounds[-1] >= _GROUP_RAYS or face[start] != face[start - 1]:
             bounds.append(start)
     bounds.append(len(order))
-    return [
-        order[lo : min(lo + _CHUNK, hi)]
-        for s, hi in zip(bounds, bounds[1:])
-        for lo in range(s, hi, _CHUNK)
-    ]
+    starts = [np.arange(lo, hi, _CHUNK) for lo, hi in zip(bounds, bounds[1:])]
+    return order, np.concatenate(starts)
 
 
 def raycast_scan(

@@ -213,6 +213,14 @@ class TestConfig:
         assert capsys.readouterr().err == f"error: {path}: seed: expected an integer >= 0\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_camera_count_below_one_exits_two(self, tmp_path, capsys, count):
+        path = tiny_config(tmp_path, cameras={"count": count})
+        assert cli.main(["run-matrix", "--config", str(path)]) == 2
+        message = "cameras: count: expected an integer >= 1"
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_float_setting_accepts_an_integer(self, tmp_path):
         cfg = load_config(tiny_config(tmp_path, scan_period_s=1, fusion={"delta": 1}))
         assert cfg.scan_period_s == 1.0 and cfg.delta == 1.0

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -183,6 +184,70 @@ def raycast_cases():
     cases["floor_straddles_every_face"] = (
         np.zeros(3), np.concatenate([lidar_dirs, unit_rows(rng, 1000)]), floor
     )
+    # far geometry: triangles 1e2 to 1e5 m from the origin, 0.1 % to 10 % of
+    # that across, with rays aimed at their vertices and at points of their edges
+    far, aims = [], []
+    for dist in np.logspace(2, 5, 60):
+        tri = dist * (unit_rows(rng, 1) + 10 ** rng.uniform(-3, -1) * rng.standard_normal((3, 3)))
+        ends = rng.integers(0, 3, (30, 2))
+        aims += [tri, tri[ends[:, 0]] + rng.random((30, 1)) * (tri[ends[:, 1]] - tri[ends[:, 0]])]
+        far.append(tri)
+    origin = rng.uniform(-1, 1, 3)
+    cases["far_geometry"] = (origin, np.concatenate(aims) - origin, np.stack(far))
+    # Each copy below is turned onto another face, side and sign by a signed
+    # permutation, exact in floating point. Rays (1, b, c) with dyadic b <= 1/4,
+    # and triangles w across at depth w that lie beyond the side plane
+    # b = w / 4 of a group's box: by 2e-13 of their width, which the kernel's
+    # tolerance still hits, by 1e-9 m and by half a hit margin, both inside
+    # the margin, and by 1.01 hit margins, past it (a gap g in b lies g / r m
+    # off the plane, r = sqrt(17) / 4; a hit margin is 1e-6 w + 1e-9 m).
+    grid = np.stack(np.meshgrid([0.0, 1 / 16, 1 / 8, 3 / 16, 1 / 4], np.linspace(-0.25, 0.25, 5)))
+    rays = np.concatenate([np.ones((25, 1)), grid.reshape(2, -1).T], axis=1)
+    r = np.sqrt(17) / 4
+    gaps = [(4.0, 8e-13), (5.0, 1e-9 * r), (6.0, 0.5 * 6.001e-6 * r), (7.0, 1.01 * 7.001e-6 * r)]
+    past = [[[w, w / 4 + gap, -w / 2], [w, w / 4 + gap, w / 2], [w, 3 * w / 4, 0.0]]
+            for w, gap in gaps]
+    signed = [np.eye(3)[list(p)] * s for p in itertools.permutations(range(3))
+              for s in itertools.product([-1.0, 1.0], repeat=3)]
+    cases["side_plane_margin"] = (
+        np.zeros(3),
+        np.concatenate([rays @ p.T for p in signed]),
+        np.concatenate([np.array(past) @ p.T for p in signed]),
+    )
+    # the same rays repeated, so that groups have boxes of zero width
+    targets = triangle_soup(rng, 40, 4.0)
+    origin = rng.uniform(-1, 1, 3)
+    aim = np.concatenate([targets[:, 0], targets.mean(axis=1)])[rng.integers(0, 80, 1500)]
+    cases["repeated_rays"] = (origin, aim - origin, targets)
+    # triangles parallel to the plane through the origin that holds the
+    # corner ray (1, 1/4, 1/4) of a dyadic grid's box, normal (-1/2, 1, 1):
+    # in that plane, on the cone's side of it, and off its other side by half
+    # and by twice a hit margin
+    grid = np.stack(np.meshgrid(np.linspace(0, 0.25, 9), np.linspace(0, 0.25, 9)))
+    rays = np.concatenate([np.ones((81, 1)), grid.reshape(2, -1).T], axis=1)
+    flat = np.array([[1.0, -2.0], [1.0, 2.0], [3.0, 0.0]]) @ [[2.0, 0.5, 0.5], [0.0, 1.0, -1.0]]
+    margin = 4 * np.sqrt(2) * 1e-6 + 1e-9  # longest edge 4 sqrt(2); |normal| = 3 / 2
+    normal = np.array([-0.5, 1.0, 1.0])
+    lean = [flat + h * normal for h in [0.0, -0.125, margin / 3, 4 * margin / 3]]
+    cases["plane_holds_corner_ray"] = (
+        np.zeros(3),
+        np.concatenate([rays @ p.T for p in signed[::5]]),
+        np.concatenate([np.array(lean) @ p.T for p in signed[::5]]),
+    )
+    # rays within rounding of the planes of triangles 100 m to 10 km across
+    # that pass within 1e-13 m of the origin, a ray or two a cell: the
+    # kernel's hits here come from rounding alone, and only the margin of
+    # the triangle-plane test keeps them
+    sheets, along = [], []
+    heights = [0.0, 1e-15, -1e-15, 1e-14, -1e-14, 1e-13]
+    for size, h, _ in itertools.product([1e2, 1e3, 1e4], heights, range(3)):
+        rotation = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        sheet = np.array([[0.5, -0.5, 0.0], [1.5, 0.0, 0.0], [0.5, 0.5, 0.0]]) * size
+        sheet[:, 2] = h
+        sheets.append(sheet @ rotation.T)
+        ang = np.linspace(-0.4, 0.4, 20)
+        along.append(np.stack([np.cos(ang), np.sin(ang), np.zeros(20)], 1) @ rotation.T)
+    cases["rays_in_triangle_plane"] = (np.zeros(3), np.concatenate(along), np.stack(sheets))
     cases["empty_scene"] = (np.zeros(3), unit_rows(rng, 100), np.zeros((0, 3, 3)))
     cases["zero_rays"] = (np.zeros(3), np.zeros((0, 3)), triangle_soup(rng, 10))
     return cases
@@ -287,6 +352,19 @@ class TestRaycast:
         ref_t, ref_tri = all_pairs_raycast(origin, dirs, triangles)
         assert t.tobytes() == ref_t.tobytes()
         np.testing.assert_array_equal(tri, ref_tri)
+
+    def test_cell_groups_split_rays_by_face(self):
+        """Each ray in one group, each group on one face and within `_CHUNK`:
+        50 rays a face, fewer than `_GROUP_RAYS`, and one cell over `_CHUNK`."""
+        rng = np.random.default_rng(4)
+        face = np.concatenate([np.repeat(np.arange(6), 50), np.full(5000, 3)])
+        coords = np.concatenate([rng.uniform(-1, 1, (300, 2)), np.full((5000, 2), 0.3)])
+        coords[::7] = rng.choice([-1.0, 1.0], (len(coords[::7]), 2))
+        order, starts = sensor_sim._cell_groups(face, coords)
+        np.testing.assert_array_equal(np.sort(order), np.arange(len(face)))
+        groups = np.split(order, starts[1:])
+        assert starts[0] == 0 and all(0 < len(g) <= sensor_sim._CHUNK for g in groups)
+        assert all(len(set(face[g])) == 1 for g in groups)
 
     def test_scan_and_images_match_all_pairs(self, monkeypatch):
         """The public simulators give the same bytes with the all-pairs loop,
