@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import experiment
@@ -17,14 +18,24 @@ from .registration import result_record
 from .sensor_sim import read_density_pgm, read_scan_csv
 
 
+def _finite(text: str) -> float:
+    """The value of a number flag, which must be finite, as the config's are."""
+    try:
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+
+
 # Config overrides, by the `load_config` key each sets: flag, type, help.
 OVERRIDES = {
     "seed": ("--seed", int, "override the master seed"),
     "out_dir": ("--out", str, "override the output directory"),
-    "delta": ("--delta", float, "binary density threshold"),
-    "delta_prime": ("--delta-prime", float, "linear weighting threshold"),
-    "tau_trans": ("--tau-trans", float, "rejection threshold, meters"),
-    "tau_rot": ("--tau-rot", float, "rejection threshold, radians"),
+    "delta": ("--delta", _finite, "binary density threshold"),
+    "delta_prime": ("--delta-prime", _finite, "linear weighting threshold"),
+    "tau_trans": ("--tau-trans", _finite, "rejection threshold, meters"),
+    "tau_rot": ("--tau-rot", _finite, "rejection threshold, radians"),
 }
 
 

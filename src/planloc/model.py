@@ -5,7 +5,8 @@ output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -36,57 +37,34 @@ class InsufficientConstraintsError(ModelError):
     """Reference set lacks three pairwise non-parallel surfaces."""
 
 
-def _triangle_normals_areas(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    e1 = triangles[:, 1] - triangles[:, 0]
-    e2 = triangles[:, 2] - triangles[:, 0]
-    cross = np.cross(e1, e2)
-    norms = np.linalg.norm(cross, axis=1)
-    areas = 0.5 * norms
-    normals = cross / np.where(norms > 0, norms, 1.0)[:, None]
-    return normals, areas
-
-
 @dataclass(frozen=True)
 class Surface:
-    """One named surface: a triangle soup with per-triangle unit normals.
+    """One named surface: a triangle soup whose winding defines orientation.
 
-    Triangle winding defines orientation; stored normals must match the
-    cross-product normals within 1e-6.
+    The per-triangle unit normals and areas follow from the triangles and
+    are derived once, here.
     """
 
     id: str
     triangles: np.ndarray  # (M, 3, 3): triangle, corner, xyz
-    normals: np.ndarray  # (M, 3) unit normals
+    normals: np.ndarray = field(init=False)  # (M, 3) unit normals
+    areas: np.ndarray = field(init=False)  # (M,) square meters
 
     def __post_init__(self):
         tris = np.array(self.triangles, dtype=np.float64)
-        normals = np.array(self.normals, dtype=np.float64)
         if tris.ndim != 3 or tris.shape[1:] != (3, 3) or tris.shape[0] == 0:
             raise ValueError(f"surface {self.id!r}: triangles must be (M, 3, 3), M >= 1")
-        if normals.shape != (tris.shape[0], 3):
-            raise ValueError(f"surface {self.id!r}: normals shape mismatch")
         if not np.all(np.isfinite(tris)):
             raise ValueError(f"surface {self.id!r}: non-finite vertex")
-        derived, areas = _triangle_normals_areas(tris)
+        cross = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
+        norms = np.linalg.norm(cross, axis=1)
+        areas = 0.5 * norms
         if np.any(areas <= MIN_TRIANGLE_AREA):
             raise ValueError(f"surface {self.id!r}: degenerate triangle (area <= 1e-12)")
-        if np.max(np.abs(derived - normals)) > 1e-6:
-            raise ValueError(f"surface {self.id!r}: stored normals disagree with winding")
-        tris.flags.writeable = False
-        normals.flags.writeable = False
-        object.__setattr__(self, "triangles", tris)
-        object.__setattr__(self, "normals", normals)
-
-    @classmethod
-    def from_triangles(cls, surface_id: str, triangles) -> "Surface":
-        tris = np.asarray(triangles, dtype=np.float64)
-        normals, _ = _triangle_normals_areas(tris)
-        return cls(surface_id, tris, normals)
-
-    @property
-    def areas(self) -> np.ndarray:
-        _, areas = _triangle_normals_areas(self.triangles)
-        return areas
+        normals = cross / norms[:, None]
+        for name, arr in (("triangles", tris), ("normals", normals), ("areas", areas)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def area(self) -> float:
@@ -99,10 +77,9 @@ class Surface:
         The flip matters for closed surfaces (e.g. extruded wall boxes) whose
         raw area-weighted normal sum is identically zero.
         """
-        areas = self.areas
-        ref = self.normals[int(np.argmax(areas))]
+        ref = self.normals[int(np.argmax(self.areas))]
         signs = np.where(self.normals @ ref >= 0, 1.0, -1.0)
-        mean = ((self.normals * signs[:, None]) * areas[:, None]).sum(axis=0)
+        mean = ((self.normals * signs[:, None]) * self.areas[:, None]).sum(axis=0)
         norm = np.linalg.norm(mean)
         if norm < 1e-12:
             raise ValueError(f"surface {self.id!r}: dominant normal undefined")
@@ -111,7 +88,7 @@ class Surface:
     def transformed(self, transform: RigidTransform) -> "Surface":
         """Rigidly moved copy; normals re-derived from the moved vertices."""
         moved = self.triangles.reshape(-1, 3) @ transform.rotation.T + transform.translation
-        return Surface.from_triangles(self.id, moved.reshape(-1, 3, 3))
+        return Surface(self.id, moved.reshape(-1, 3, 3))
 
 
 @dataclass(frozen=True)
@@ -275,9 +252,7 @@ def make_box_surface(surface_id: str, center, size, yaw_rad: float = 0.0) -> Sur
     c, s = np.cos(yaw_rad), np.sin(yaw_rad)
     axes = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
     half = 0.5 * np.asarray(size, dtype=np.float64).reshape(3)
-    return Surface.from_triangles(
-        surface_id, _box_triangles(np.asarray(center, dtype=np.float64), axes, half)
-    )
+    return Surface(surface_id, _box_triangles(np.asarray(center, dtype=np.float64), axes, half))
 
 
 def _polygon_area_signed(outline: np.ndarray) -> float:
@@ -293,36 +268,26 @@ def triangulate_polygon(outline: np.ndarray) -> np.ndarray:
     idx = list(range(len(poly)))
     tris: list[tuple[int, int, int]] = []
 
+    def turn(p, q, r) -> float:
+        """z of (q - p) x (r - p): positive when p, q, r turn left."""
+        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
     def is_ear(a: int, b: int, c: int) -> bool:
         pa, pb, pc = poly[a], poly[b], poly[c]
-        cross = (pb[0] - pa[0]) * (pc[1] - pa[1]) - (pb[1] - pa[1]) * (pc[0] - pa[0])
-        if cross <= 1e-12:
-            return False
-        for other in idx:
-            if other in (a, b, c):
-                continue
-            p = poly[other]
-            d1 = (pb[0] - pa[0]) * (p[1] - pa[1]) - (pb[1] - pa[1]) * (p[0] - pa[0])
-            d2 = (pc[0] - pb[0]) * (p[1] - pb[1]) - (pc[1] - pb[1]) * (p[0] - pb[0])
-            d3 = (pa[0] - pc[0]) * (p[1] - pc[1]) - (pa[1] - pc[1]) * (p[0] - pc[0])
-            if d1 > -1e-12 and d2 > -1e-12 and d3 > -1e-12:
-                return False
-        return True
+        return turn(pa, pb, pc) > 1e-12 and not any(
+            min(turn(pa, pb, poly[o]), turn(pb, pc, poly[o]), turn(pc, pa, poly[o])) > -1e-12
+            for o in idx
+            if o not in (a, b, c)
+        )
 
-    guard = 0
     while len(idx) > 3:
-        guard += 1
-        if guard > 10000:
-            raise ValueError("polygon triangulation failed; outline may self-intersect")
-        clipped = False
         for pos in range(len(idx)):
             a, b, c = idx[pos - 1], idx[pos], idx[(pos + 1) % len(idx)]
             if is_ear(a, b, c):
                 tris.append((a, b, c))
                 idx.pop(pos)
-                clipped = True
                 break
-        if not clipped:
+        else:
             raise ValueError("polygon triangulation found no ear; outline may self-intersect")
     tris.append((idx[0], idx[1], idx[2]))
     return poly[np.array(tris)]
@@ -347,10 +312,10 @@ def extrude_floorplan(plan: Floorplan2D) -> BuildingModel:
         center = np.array([mid2[0], mid2[1], 0.5 * plan.wall_height])
         axes = np.vstack([u, n, [0.0, 0.0, 1.0]])
         half = np.array([0.5 * length, 0.5 * wall.thickness, 0.5 * plan.wall_height])
-        surfaces.append(Surface.from_triangles(sid, _box_triangles(center, axes, half)))
+        surfaces.append(Surface(sid, _box_triangles(center, axes, half)))
     tris2d = triangulate_polygon(plan.floor_outline)
     floor_tris = np.concatenate([tris2d, np.zeros((*tris2d.shape[:2], 1))], axis=2)
-    surfaces.append(Surface.from_triangles("floor", floor_tris))
+    surfaces.append(Surface("floor", floor_tris))
     return BuildingModel(tuple(surfaces))
 
 
@@ -367,19 +332,9 @@ def validate_reference_set(model: BuildingModel, refs: ReferenceSet) -> Referenc
     on success.
     """
     normals = [model.get(sid).dominant_normal() for sid in refs.surface_ids]
-    k = len(normals)
-    for a in range(k):
-        for b in range(a + 1, k):
-            if abs(float(normals[a] @ normals[b])) >= 1.0 - EPS_PARALLEL:
-                continue
-            for c in range(k):
-                if c in (a, b):
-                    continue
-                if (
-                    abs(float(normals[a] @ normals[c])) < 1.0 - EPS_PARALLEL
-                    and abs(float(normals[b] @ normals[c])) < 1.0 - EPS_PARALLEL
-                ):
-                    return refs
+    for trio in combinations(normals, 3):
+        if all(abs(float(a @ b)) < 1.0 - EPS_PARALLEL for a, b in combinations(trio, 2)):
+            return refs
     raise InsufficientConstraintsError(
         "reference set needs three pairwise non-parallel surfaces"
     )

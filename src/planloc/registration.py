@@ -92,8 +92,8 @@ class SelectiveConfig:
     selective_icp: IcpConfig = field(default_factory=IcpConfig)
 
     def __post_init__(self):
-        if self.tau_translation_m <= 0 or self.tau_rotation_rad <= 0:
-            raise ValueError("rejection thresholds must be > 0")
+        if not (0 < self.tau_translation_m < math.inf and 0 < self.tau_rotation_rad < math.inf):
+            raise ValueError("rejection thresholds must be finite and > 0")
 
 
 @dataclass(frozen=True)

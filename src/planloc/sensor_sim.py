@@ -182,9 +182,8 @@ class Scan:
             if len(arr) != len(pts):
                 raise ValueError(f"{name} length must match points")
             object.__setattr__(self, name, arr)
-        if self.weights is not None and len(self.weights):
-            if self.weights.min() < 0 or self.weights.max() > 1:
-                raise ValueError("weights must lie in [0, 1]")
+        if self.weights is not None and not np.all((self.weights >= 0) & (self.weights <= 1)):
+            raise ValueError("weights must lie in [0, 1]")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -253,22 +252,16 @@ class TrialFrame:
 def _gather_scene(scene: Scene, time_s: float):
     """Flatten scene geometry at a time instant.
 
-    Returns (triangles (M,3,3), class_code (M,), surface_label (M,) object).
+    Returns (triangles (M,3,3), class_code (M,), surface_label (M,) object),
+    the class code indexing POINT_CLASSES.
     """
     tris, codes, labels = [], [], []
-    for surface in scene.as_built.surfaces:
-        tris.append(surface.triangles)
-        codes.append(np.zeros(len(surface.triangles), dtype=np.int8))
-        labels.extend([surface.id] * len(surface.triangles))
-    for surface in scene.clutter:
-        tris.append(surface.triangles)
-        codes.append(np.ones(len(surface.triangles), dtype=np.int8))
-        labels.extend([surface.id] * len(surface.triangles))
-    for actor in scene.actors:
-        moved = actor.at(time_s)
-        tris.append(moved.triangles)
-        codes.append(np.full(len(moved.triangles), 2, dtype=np.int8))
-        labels.extend([moved.id] * len(moved.triangles))
+    moved = [actor.at(time_s) for actor in scene.actors]
+    for code, surfaces in enumerate((scene.as_built.surfaces, scene.clutter, moved)):
+        for surface in surfaces:
+            tris.append(surface.triangles)
+            codes.append(np.full(len(surface.triangles), code, dtype=np.int8))
+            labels.extend([surface.id] * len(surface.triangles))
     if not tris:
         return np.zeros((0, 3, 3)), np.zeros(0, dtype=np.int8), np.array([], dtype=object)
     return np.concatenate(tris), np.concatenate(codes), np.array(labels, dtype=object)
@@ -413,12 +406,9 @@ def raycast_scan(
     ranges = t[hit]
     if spec.range_noise_m > 0:
         ranges = ranges + spec.range_noise_m * rng.standard_normal(len(ranges))
-        keep = (ranges > 0) & (ranges <= spec.max_range_m)
-        ranges = ranges[keep]
-        hit_idx = np.flatnonzero(hit)[keep]
-    else:
-        hit_idx = np.flatnonzero(hit)
-    points = dirs_sensor[hit_idx] * ranges[:, None]
+    keep = (ranges > 0) & (ranges <= spec.max_range_m)
+    hit_idx = np.flatnonzero(hit)[keep]
+    points = dirs_sensor[hit_idx] * ranges[keep, None]
     return Scan(points=points, classes=np.array(POINT_CLASSES)[codes[tri[hit_idx]]])
 
 
@@ -551,8 +541,9 @@ def write_scan_csv(scan: Scan, path) -> None:
 
 
 def read_scan_csv(path) -> Scan:
-    """Read a scan CSV in the layout its header names; an all-nan density or
-    weight column reads back as None."""
+    """Read a scan CSV in the layout its header names. Every number must be
+    finite, bar a density or weight column that is nan in every row: that
+    one reads back as None."""
     with open(path) as f:
         header, body = f.readline().strip(), f.read()
     if header not in _SCAN_CSV_ROWS:
@@ -566,9 +557,16 @@ def read_scan_csv(path) -> Scan:
         except ValueError as e:
             raise _scan_csv_error(path, header, body, e) from None
     if header == "x,y,z,class":
-        return Scan(rows["xyz"], classes=rows["class"])
-    d, w = (None if np.isnan(rows[c]).all() else rows[c] for c in ("d", "w"))
-    return Scan(rows["xyz"], densities=d, weights=w)
+        d, w, classes = None, None, rows["class"]
+    else:
+        d, w = (None if np.isnan(rows[c]).all() else rows[c] for c in ("d", "w"))
+        classes = None
+    numbers = np.column_stack([rows["xyz"], *(a for a in (d, w) if a is not None)])
+    finite = np.isfinite(numbers).all(axis=1)
+    if not finite.all():
+        line = [n for n, text in enumerate(body.split("\n"), start=2) if text][np.argmin(finite)]
+        raise ValueError(f"{path}:{line}: non-finite number")
+    return Scan(rows["xyz"], densities=d, weights=w, classes=classes)
 
 
 def _scan_csv_error(path, header: str, body: str, error: ValueError) -> ValueError:

@@ -608,6 +608,14 @@ class TestRunMatrix:
         b = (tmp_path / "b" / "report.csv").read_bytes()
         assert a == b
 
+    def test_readme_trial_log_lists_the_failure_reasons(self):
+        """README's trial-log section names every failure reason, and no
+        other."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("* **Trial log**")[1].split("`localize-once` prints")[0]
+        listed = re.findall(r"`(\w+)`", "".join(re.findall(r"^  \* (.*?):", section, re.M)))
+        assert sorted(listed) == sorted(r.value for r in registration.FailureReason)
+
     def test_seed_changes_report(self, tmp_path):
         path = tiny_config(tmp_path)
         cfg_a = load_config(path, {"out_dir": str(tmp_path / "a")})
@@ -998,6 +1006,52 @@ class TestLocalizeOnce:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == f"error: {pose_path}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--tau-trans", "nan"),
+            ("--tau-trans", "inf"),
+            ("--tau-rot", "nan"),
+            ("--delta", "nan"),
+            ("--delta-prime", "nan"),
+            ("--delta-prime", "inf"),
+        ],
+    )
+    def test_non_finite_number_flag_exits_two(self, tmp_path, capsys, flag, value):
+        cfg_path = tiny_config(tmp_path)
+        scan_path = self._scan_file(tmp_path, load_config(cfg_path))
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["localize-once", "--config", str(cfg_path), "--scan", str(scan_path),
+                      "--scan-variant", "weighted", flag, value])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: expected a finite number, got '{value}'" in err
+
+    @pytest.mark.parametrize("column, value", [(0, "nan"), (1, "inf"), (3, "nan")])
+    def test_non_finite_scan_value_exits_two(self, tmp_path, column, value):
+        """A nan or infinite coordinate, or one nan in a density column, is
+        an input error naming the line."""
+        cfg_path = tiny_config(tmp_path)
+        cfg = load_config(cfg_path)
+        frame = generate_trial_sequence(
+            assemble_scene(cfg).scene, cfg.robot_pose, 1, cfg.lidar, cfg.cameras,
+            cfg.prism, cfg.oracle, seed=3,
+        )[0]
+        scan_path = tmp_path / "fused.csv"
+        write_scan_csv(fuse_frame(frame, cfg)[0], scan_path)
+        lines = scan_path.read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[column] = value
+        lines[5] = ",".join(fields)
+        scan_path.write_text("\n".join(lines) + "\n")
+        proc = run_cli(
+            "localize-once", "--config", str(cfg_path), "--scan", str(scan_path),
+            "--icp", "full", "--scan-variant", "weighted",
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {scan_path}:6: non-finite number\n"
 
     @pytest.mark.parametrize(
         "variant, densities, message",

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -6,6 +8,8 @@ import pytest
 from planloc.experiment import load_floorplan, load_reference_set
 from planloc.geometry import RigidTransform
 from planloc.model import (
+    EPS_PARALLEL,
+    BuildingModel,
     Deviation,
     EmptyPlanError,
     Floorplan2D,
@@ -146,12 +150,53 @@ class TestReferenceValidation:
         with pytest.raises(ValueError):
             ReferenceSet(())
 
+    def test_agrees_with_brute_force(self):
+        """Accepted iff some three members' dominant normals are pairwise
+        non-parallel, on random sets with pairs either side of the
+        EPS_PARALLEL edge."""
+        edge = np.arccos(1.0 - EPS_PARALLEL)
+        outcomes = set()
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            dirs = []
+            for _ in range(rng.integers(3, 7)):
+                n = rng.normal(size=3)
+                if dirs and rng.random() < 0.6:  # near the edge from an earlier member
+                    base = dirs[rng.integers(len(dirs))]
+                    axis = np.cross(base, rng.normal(size=3))
+                    angle = edge * (1.0 + rng.choice([-1e-9, 0.0, 1e-9, -1e-3, 1e-3]))
+                    n = RigidTransform.from_rotvec(angle * axis / np.linalg.norm(axis)).rotation @ base
+                    n *= rng.choice([-1.0, 1.0])
+                n = n / np.linalg.norm(n)
+                dirs.append(n)
+            surfaces = []
+            for i, n in enumerate(dirs):
+                u = np.cross(n, [1.0, 0.0, 0.0] if abs(n[0]) < 0.9 else [0.0, 1.0, 0.0])
+                u /= np.linalg.norm(u)
+                surfaces.append(Surface(f"s{i}", [[[0.0, 0.0, 0.0], u, np.cross(n, u)]]))
+            model = BuildingModel(tuple(surfaces))
+            refs = ReferenceSet(model.surface_ids)
+            normals = [s.dominant_normal() for s in surfaces]
+            expected = any(
+                abs(float(normals[i] @ normals[j])) < 1.0 - EPS_PARALLEL
+                and abs(float(normals[i] @ normals[k])) < 1.0 - EPS_PARALLEL
+                and abs(float(normals[j] @ normals[k])) < 1.0 - EPS_PARALLEL
+                for i, j, k in itertools.permutations(range(len(normals)), 3)
+            )
+            try:
+                accepted = validate_reference_set(model, refs) is refs
+            except InsufficientConstraintsError:
+                accepted = False
+            assert accepted == expected, seed
+            outcomes.add(accepted)
+        assert outcomes == {True, False}
+
 
 class TestSampling:
     def test_unit_triangle_surface_count(self):
         # 1 m^2 right triangle sampled at 100 points/m^2
         tri = np.array([[[0, 0, 0], [np.sqrt(2), 0, 0], [0, np.sqrt(2), 0]]])
-        surface = Surface.from_triangles("tri", tri)
+        surface = Surface("tri", tri)
         assert surface.area == pytest.approx(1.0, abs=1e-12)
         from planloc.model import BuildingModel
 
@@ -258,17 +303,38 @@ class TestSurfaceInvariants:
     def test_degenerate_triangle_rejected(self):
         tri = np.array([[[0, 0, 0], [1, 0, 0], [2, 0, 0]]], dtype=float)
         with pytest.raises(ValueError):
-            Surface.from_triangles("bad", tri)
+            Surface("bad", tri)
 
-    def test_mismatched_normals_rejected(self):
+    def test_normals_and_areas_are_the_cross_product_values(self):
+        rng = np.random.default_rng(7)
+        tris = rng.normal(size=(50, 3, 3)) * rng.uniform(0.01, 100.0, size=(50, 1, 1))
+        surface = Surface("soup", tris)
+        cross = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
+        norms = np.linalg.norm(cross, axis=1)
+        np.testing.assert_array_equal(surface.triangles, tris)
+        np.testing.assert_array_equal(surface.normals, cross / norms[:, None])
+        np.testing.assert_array_equal(surface.areas, 0.5 * norms)
+
+    def test_derived_arrays_are_read_only(self):
         tri = np.array([[[0, 0, 0], [1, 0, 0], [0, 1, 0]]], dtype=float)
-        with pytest.raises(ValueError):
-            Surface("bad", tri, np.array([[1.0, 0.0, 0.0]]))
+        surface = Surface("tri", tri)
+        tri[0, 1, 0] = 5.0  # the surface holds its own copy
+        assert surface.area == 0.5
+        for name in ("triangles", "normals", "areas"):
+            with pytest.raises(ValueError):
+                getattr(surface, name)[0] = 0.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(surface, name, getattr(surface, name))
+
+    def test_normals_are_not_an_argument(self):
+        tri = np.array([[[0, 0, 0], [1, 0, 0], [0, 1, 0]]], dtype=float)
+        with pytest.raises(TypeError):
+            Surface("tri", tri, np.array([[0.0, 0.0, 1.0]]))
 
     def test_duplicate_ids_rejected(self):
         from planloc.model import BuildingModel
 
         tri = np.array([[[0, 0, 0], [1, 0, 0], [0, 1, 0]]], dtype=float)
-        s = Surface.from_triangles("dup", tri)
+        s = Surface("dup", tri)
         with pytest.raises(ValueError):
             BuildingModel((s, s))

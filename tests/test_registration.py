@@ -542,6 +542,15 @@ class TestSelective:
         assert not res.localized
         assert res.failure_reason is FailureReason.REJECTED_INCONSISTENT
 
+    @pytest.mark.parametrize(
+        "tau", [{"tau_translation_m": math.nan}, {"tau_translation_m": math.inf},
+                {"tau_rotation_rad": math.nan}, {"tau_rotation_rad": math.inf},
+                {"tau_rotation_rad": 0.0}],
+    )
+    def test_rejection_thresholds_finite_and_positive(self, tau):
+        with pytest.raises(ValueError, match="rejection thresholds must be finite and > 0"):
+            SelectiveConfig(**tau)
+
     def test_reference_starvation(self, room_cloud):
         full = MapIndex(room_cloud)
         ref = MapIndex(room_cloud.subset(["floor", "wall_a", "wall_b"]))

@@ -580,8 +580,14 @@ class TestFileFormats:
                 "1.250000000,-0.500000000,0.125000000,0.250000000,nan\n"
                 "2.000000000,3.000000000,-1.000000000,0.750000000,nan\n",
             ),
+            (
+                Scan(points=[[1.25, -0.5, 0.125], [2.0, 3.0, -1.0]], weights=[0.5, 1.0]),
+                "x,y,z,d,w\n"
+                "1.250000000,-0.500000000,0.125000000,nan,0.500000000\n"
+                "2.000000000,3.000000000,-1.000000000,nan,1.000000000\n",
+            ),
         ],
-        ids=["classes", "fused"],
+        ids=["classes", "fused", "weighted"],
     )
     def test_scan_csv_bytes(self, tmp_path, scan, text):
         path = tmp_path / "scan.csv"
@@ -612,6 +618,14 @@ class TestFileFormats:
             ("x,y,z,class\n1,2,3,building\n1,2,zebra,building\n", ":3: non-numeric field"),
             ("x,y,z,d,w\n1,2,3,0.5,1\n1,2,3,0.5\n", ":3: expected 5 fields, got 4"),
             ("x,y,z,d,w\n1,2,3,0.5,high\n", ":2: non-numeric field"),
+            # coordinates are finite; a d or w column is finite or nan in every row
+            ("x,y,z,class\n1,2,3,building\nnan,2,3,building\n", ":3: non-finite number"),
+            ("x,y,z,class\n\n1,inf,3,building\n", ":3: non-finite number"),
+            ("x,y,z,d,w\n1,2,3,0.5,nan\n1,2,-inf,0.5,nan\n", ":3: non-finite number"),
+            ("x,y,z,d,w\n1,2,3,0.5,1\n1,2,3,nan,1\n", ":3: non-finite number"),
+            ("x,y,z,d,w\n1,2,3,nan,1\n1,2,3,0.5,1\n", ":2: non-finite number"),
+            ("x,y,z,d,w\n1,2,3,0.5,1\n1,2,3,0.5,nan\n", ":3: non-finite number"),
+            ("x,y,z,d,w\n1,2,3,inf,nan\n", ":2: non-finite number"),
         ],
     )
     def test_scan_csv_errors_name_the_line(self, tmp_path, text, where):
@@ -620,6 +634,11 @@ class TestFileFormats:
         with pytest.raises(ValueError) as err:
             read_scan_csv(path)
         assert str(err.value) == f"{path}{where}"
+
+    @pytest.mark.parametrize("weights", [[0.5, np.nan], [-0.1, 0.5], [0.5, 1.5], [np.inf, 0.5]])
+    def test_scan_refuses_weights_outside_unit_interval(self, weights):
+        with pytest.raises(ValueError, match=r"weights must lie in \[0, 1\]"):
+            Scan([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], weights=weights)
 
     @pytest.mark.parametrize("header", ["x,y,z,class", "x,y,z,d,w"])
     def test_header_only_scan_csv_is_empty(self, tmp_path, header):
