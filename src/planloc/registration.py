@@ -59,14 +59,15 @@ class IcpConfig:
     def __post_init__(self):
         if self.kernel not in KERNELS:
             raise ValueError(f"kernel must be one of {KERNELS}")
-        if min(
+        values = (
             self.max_iterations,
             self.max_correspondence_m,
             self.translation_eps_m,
             self.rotation_eps_rad,
             self.huber_scale_m,
             self.min_correspondences,
-        ) <= 0:
+        )
+        if not all(value > 0 for value in values):  # NaN is not > 0
             raise ValueError("all ICP configuration values must be positive")
 
 
@@ -134,6 +135,49 @@ class LocalizationResult:
 _LEAF_SIZE = 32
 
 
+# How far past the gate a certificate's search looks for two map points, so
+# that an out-of-gate point's certificate outlasts a move. On the benchmark's
+# room requests ICP searched 57 % of its query rows with 1 cm, 52.4 % with
+# 5 cm and 52.2 % with 10 or 20 cm; the search time did not separate them.
+_REACH_MARGIN_M = 0.05
+# Slack for rounding: a certificate must hold by more than this, so a point
+# whose nearest map point lies this close to the gate, or to a tie, is left
+# to a plain gated search.
+_ROUNDING_M = 1e-9
+
+
+class NearestCertificates:
+    """What the last search found for each query point of one ICP run: where
+    the point was (`anchor`), its nearest map point (`nearest`, at distance
+    `d1`) and the distance `d2` to its second-nearest, both clipped to the
+    gate plus `_REACH_MARGIN_M`. Kept by the run, never by the map: two
+    threads may query one map at once."""
+
+    def __init__(self):
+        self.start(0, None)
+
+    def start(self, n: int, gate: float | None) -> None:
+        """Forget everything: n rows at `gate`, none of them searched yet."""
+        self.gate = gate
+        self.anchor = np.zeros((n, 3))
+        self.nearest = np.zeros(n, dtype=np.intp)
+        self.d1 = np.zeros(n)  # d1 = d2 = 0 proves nothing
+        self.d2 = np.zeros(n)
+
+    def decide(self, shift, gate: float, rows=slice(None)):
+        """(inside, outside) for `rows` moved by `shift` since their search.
+
+        A point is inside the gate, at its old nearest map point, when
+        2 shift < d2 - d1 (no other map point can have come closer) and
+        d1 + shift < gate. It is outside when d1 - shift > gate (no map point
+        can have come within the gate). Each must hold by `_ROUNDING_M`.
+        d2 is infinite only under an infinite gate, and d1 never is.
+        """
+        d1, d2 = self.d1[rows], self.d2[rows]
+        inside = (2.0 * shift + _ROUNDING_M < d2 - d1) & (d1 + shift < gate - _ROUNDING_M)
+        return inside, d1 - shift > gate + _ROUNDING_M
+
+
 class MapIndex:
     """Exact nearest-neighbor index over a map cloud (kd-tree backed)."""
 
@@ -146,16 +190,48 @@ class MapIndex:
     def __len__(self) -> int:
         return len(self.cloud)
 
-    def query(self, points: np.ndarray, max_distance: float = np.inf):
+    def query(
+        self,
+        points: np.ndarray,
+        max_distance: float = np.inf,
+        certificates: NearestCertificates | None = None,
+    ):
         """Nearest map point per query point.
 
         Returns (index (N,), valid (N,)); invalid entries index point 0 and
-        must be masked by the caller.
+        must be masked by the caller. Given the `certificates` of earlier
+        queries of the same rows at the same gate, it searches the tree only
+        for the rows they cannot decide, and updates them; the answer is the
+        same as without.
         """
+        if certificates is None:
+            return self._gated(points, max_distance)
+        gate, cert = max_distance, certificates
+        if cert.gate != gate or len(cert.anchor) != len(points):
+            cert.start(len(points), gate)
+        moved = points - cert.anchor
+        shift = np.sqrt(np.einsum("ij,ij->i", moved, moved))
+        inside, outside = cert.decide(shift, gate)
+        rows = np.flatnonzero(~(inside | outside))
+        if len(rows):
+            reach = gate + _REACH_MARGIN_M
+            dist, near = self._tree.query(points[rows], k=2, distance_upper_bound=reach)
+            np.minimum(dist, reach, out=dist)
+            cert.anchor[rows], cert.nearest[rows] = points[rows], near[:, 0]
+            cert.d1[rows], cert.d2[rows] = dist[:, 0], dist[:, 1]
+            inside[rows], outside[rows] = cert.decide(0.0, gate, rows)
+        idx = np.where(inside, cert.nearest, 0)
+        # a near-tie or a distance at the gate: the tree gates squared
+        # distances, and a two-point search may break an exact tie otherwise
+        redo = np.flatnonzero(~(inside | outside))
+        if len(redo):
+            idx[redo], inside[redo] = self._gated(points[redo], gate)
+        return idx, inside
+
+    def _gated(self, points: np.ndarray, max_distance: float):
         dist, idx = self._tree.query(points, k=1, distance_upper_bound=max_distance)
         valid = np.isfinite(dist)
-        idx = np.where(valid, idx, 0)
-        return idx, valid
+        return np.where(valid, idx, 0), valid
 
 
 def residual_jacobian(points: np.ndarray, normals: np.ndarray) -> np.ndarray:
@@ -239,9 +315,10 @@ def point_to_plane_icp(
     Correspondences are nearest map points within the gating distance;
     convergence means the last increment fell below both epsilon thresholds
     while at least `min_correspondences` weighted matches were active. One
-    map query per iteration, of the points with weight > 0 alone. Never
-    raises on divergence or starvation; inspect `converged` and
-    `budget_exhausted`.
+    map query per iteration, of the points with weight > 0 alone; it
+    searches the kd-tree only for the points whose certificates from earlier
+    iterations do not prove the answer unchanged. Never raises on divergence
+    or starvation; inspect `converged` and `budget_exhausted`.
     """
     points = scan.points
     weights = scan.weights if scan.weights is not None else np.ones(len(points))
@@ -254,10 +331,11 @@ def point_to_plane_icp(
     points, weights = points[positive], weights[positive]
     map_points = map_index.cloud.points
     map_normals = map_index.cloud.normals
+    certificates = NearestCertificates()
     cost = math.inf
     for iteration in range(1, cfg.max_iterations + 1):
         world = transform.apply(points)
-        idx, valid = map_index.query(world, cfg.max_correspondence_m)
+        idx, valid = map_index.query(world, cfg.max_correspondence_m, certificates)
         n_corr = int(valid.sum())
         if n_corr < cfg.min_correspondences:
             return IcpResult(transform, False, iteration, residual_rms, n_corr)

@@ -181,9 +181,10 @@ class Scan:
             arr = np.ascontiguousarray(arr, dtype=dtype).reshape(-1)
             if len(arr) != len(pts):
                 raise ValueError(f"{name} length must match points")
+            # NaN lies in no interval
+            if dtype is np.float64 and not np.all((arr >= 0) & (arr <= 1)):
+                raise ValueError(f"{name} must lie in [0, 1]")
             object.__setattr__(self, name, arr)
-        if self.weights is not None and not np.all((self.weights >= 0) & (self.weights <= 1)):
-            raise ValueError("weights must lie in [0, 1]")
 
     def __len__(self) -> int:
         return len(self.points)

@@ -14,6 +14,7 @@ from planloc.registration import (
     IcpResult,
     LocalizationResult,
     MapIndex,
+    NearestCertificates,
     SelectiveConfig,
     _kernel_weights,
     gauss_newton_step,
@@ -105,10 +106,34 @@ def assert_same_pose(a: RigidTransform, b: RigidTransform) -> None:
     )
 
 
+def assert_bit_identical(res: IcpResult, ref: IcpResult) -> None:
+    assert np.array_equal(res.transform.rotation, ref.transform.rotation)
+    assert np.array_equal(res.transform.translation, ref.transform.translation)
+    assert (res.converged, res.iterations, res.residual_rms_m, res.correspondences) == (
+        ref.converged, ref.iterations, ref.residual_rms_m, ref.correspondences
+    )
+
+
 def huber_cost(scan: Scan, map_index: MapIndex, pose: RigidTransform, cfg: IcpConfig) -> float:
     return pose_to_plane_cost(
         scan, map_index, pose, "huber", cfg.huber_scale_m, cfg.max_correspondence_m
     )
+
+
+class TestIcpConfig:
+    FIELDS = (
+        "max_iterations", "max_correspondence_m", "translation_eps_m", "rotation_eps_rad",
+        "huber_scale_m", "min_correspondences",
+    )
+
+    @pytest.mark.parametrize("value", [np.nan, 0, -1.0])
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_refuses_nan_and_non_positive_values(self, name, value):
+        with pytest.raises(ValueError, match="must be positive"):
+            IcpConfig(**{name: value})
+
+    def test_gate_may_be_infinite(self):
+        assert IcpConfig(max_correspondence_m=np.inf).max_correspondence_m == np.inf
 
 
 class TestMapIndex:
@@ -157,6 +182,17 @@ def query_clouds() -> dict[str, np.ndarray]:
     }
 
 
+class CountingTree:
+    """A kd-tree that counts the rows it searches."""
+
+    def __init__(self, tree):
+        self.tree, self.rows = tree, 0
+
+    def query(self, points, *args, **kwargs):
+        self.rows += len(points)
+        return self.tree.query(points, *args, **kwargs)
+
+
 class TestMapIndexAgainstBruteForce:
     GATE = 0.25
 
@@ -189,6 +225,66 @@ class TestMapIndexAgainstBruteForce:
         assert valid.all() and np.array_equal(idx, pick)
         _, valid = index.query(outside, self.GATE)
         assert not valid.any()
+
+    def _walk(self, rng: np.random.Generator) -> list[RigidTransform]:
+        """Poses of a seeded walk: one large first step, then steps that
+        halve, as an ICP run's do."""
+        poses = [RigidTransform.identity()]
+        for k in range(10):
+            size = 0.5**k
+            step = RigidTransform.from_rotvec(
+                rng.normal(size=3) * 0.05 * size, rng.normal(size=3) * 0.2 * size
+            )
+            poses.append(compose(step, poses[-1]))
+        return poses
+
+    def _at_gate(self, points: np.ndarray, rng: np.random.Generator, scale: float):
+        """Points at `scale` times the gate from the map point nearest them."""
+        pick = rng.integers(len(points), size=300)
+        direction = rng.normal(size=(300, 3))
+        direction /= np.linalg.norm(direction, axis=1)[:, None]
+        candidates = points[pick] + direction * self.GATE * scale
+        dist = brute_force(points, candidates)
+        return candidates[dist[np.arange(300), pick] == dist.min(axis=1)]
+
+    @pytest.mark.parametrize("gate", [GATE, np.inf])
+    @pytest.mark.parametrize("name", list(query_clouds()))
+    def test_certified_answers_match_fresh_queries_along_a_walk(self, name, gate):
+        """At every pose of the walk, the answer kept with certificates is
+        that of a fresh query: validity, and the index even at ties, which
+        go to the same gated search."""
+        points = query_clouds()[name]
+        index = MapIndex(cloud_of(points))
+        tree = index._tree = CountingTree(index._tree)
+        rng = np.random.default_rng(24)
+        poses = self._walk(rng)
+        inside = self._at_gate(points, rng, 1 - 4e-9)  # 1e-9 m inside the gate
+        outside = self._at_gate(points, rng, 1 + 4e-9)
+        queries = np.concatenate([
+            rng.uniform(-0.5, 4.5, (400, 3)),
+            points[rng.integers(len(points), size=50)],
+            self._at_gate(points, rng, 1.0),  # on the gate at the first pose, up to rounding
+            invert(poses[-1]).apply(np.concatenate([inside, outside])),
+        ])
+        certificates = NearestCertificates()
+        seen, searched = [], []
+        for pose in poses:
+            world = pose.apply(queries)
+            rows = tree.rows
+            idx, valid = index.query(world, gate, certificates)
+            searched.append(tree.rows - rows)
+            fresh_idx, fresh_valid = index.query(world, gate)
+            np.testing.assert_array_equal(valid, fresh_valid)
+            np.testing.assert_array_equal(idx, fresh_idx)
+            seen.append(valid)
+        seen = np.array(seen)
+        if gate < np.inf:
+            assert (seen.any(axis=0) & ~seen.all(axis=0)).any()  # some cross the gate
+            ends = seen[-1, len(queries) - len(inside) - len(outside):]
+            assert len(inside) and len(outside)
+            assert ends[: len(inside)].all() and not ends[len(inside):].any()
+        if name != "duplicates":  # a map point at a tie certifies nothing
+            assert sum(searched) < len(poses) * len(queries)
 
 
 class TestJacobian:
@@ -272,12 +368,7 @@ class TestIcp:
         weights[weights < 0.4] = 0.0
         weighted = Scan(points=scan.points, weights=weights)
         run = (weighted, room_index, start, IcpConfig(kernel="squared"))
-        res, ref = point_to_plane_icp(*run), irls_icp(*run)
-        assert np.array_equal(res.transform.rotation, ref.transform.rotation)
-        assert np.array_equal(res.transform.translation, ref.transform.translation)
-        assert (res.converged, res.iterations, res.residual_rms_m, res.correspondences) == (
-            ref.converged, ref.iterations, ref.residual_rms_m, ref.correspondences
-        )
+        assert_bit_identical(point_to_plane_icp(*run), irls_icp(*run))
 
     def test_empty_scan_never_throws(self, room_index):
         res = point_to_plane_icp(Scan(points=np.zeros((0, 3))), room_index, ROBOT_POSE)
@@ -437,12 +528,47 @@ class TestHuberNewton:
             (c4_scan, maps.full_map, cfg.initial_pose, squared),
         ]
         for run in runs:
-            res, ref = point_to_plane_icp(*run), irls_icp(*run)
-            assert np.array_equal(res.transform.rotation, ref.transform.rotation)
-            assert np.array_equal(res.transform.translation, ref.transform.translation)
-            assert (res.converged, res.iterations, res.residual_rms_m, res.correspondences) == (
-                ref.converged, ref.iterations, ref.residual_rms_m, ref.correspondences
-            )
+            assert_bit_identical(point_to_plane_icp(*run), irls_icp(*run))
+
+
+class TestCertifiedQueries:
+    """point_to_plane_icp searches the kd-tree only for the points whose
+    nearest map point may have changed, with the result of searching all."""
+
+    def test_searches_far_fewer_rows_for_the_reference_result(
+        self, cluttered_room, room_index, monkeypatch
+    ):
+        scan, _, start = cluttered_room
+        weights = np.random.default_rng(18).uniform(0.0, 1.0, len(scan))
+        weights[weights < 0.2] = 0.0
+        cfg = run_to_fixed_point(IcpConfig(kernel="squared"))
+        run = (Scan(scan.points, weights=weights), room_index, start, cfg)
+        ref = irls_icp(*run)  # searches every point on every iteration
+        tree = CountingTree(room_index._tree)
+        monkeypatch.setattr(room_index, "_tree", tree)
+        res = point_to_plane_icp(*run)
+        assert_bit_identical(res, ref)
+        # 11,759 of 23,010 rows here (10 iterations of 2,301 weighted points):
+        # all in the first two, then 91, 80, 72, 50, 18, 1, 0.1 and 0 %
+        assert res.iterations >= 8
+        assert tree.rows < 0.6 * res.iterations * int((weights > 0).sum())
+
+    def test_huber_stages_match_searching_every_point(
+        self, cluttered_room, room_index, c4_frame, monkeypatch
+    ):
+        scan, ref_map, start = cluttered_room
+        c4_scan, maps, cfg = c4_frame
+        runs = [
+            (scan, room_index, start, IcpConfig()),
+            (scan, ref_map, start, REF_STAGE),
+            (c4_scan, maps.full_map, cfg.initial_pose, cfg.selective.full_icp),
+            (c4_scan, maps.ref_map, cfg.initial_pose, cfg.selective.selective_icp),
+        ]
+        certified = [point_to_plane_icp(*run) for run in runs]
+        query = MapIndex.query
+        monkeypatch.setattr(MapIndex, "query", lambda self, pts, gate, *_: query(self, pts, gate))
+        for run, res in zip(runs, certified):
+            assert_bit_identical(res, point_to_plane_icp(*run))
 
 
 class TestNewtonStep:

@@ -635,10 +635,13 @@ class TestFileFormats:
             read_scan_csv(path)
         assert str(err.value) == f"{path}{where}"
 
-    @pytest.mark.parametrize("weights", [[0.5, np.nan], [-0.1, 0.5], [0.5, 1.5], [np.inf, 0.5]])
-    def test_scan_refuses_weights_outside_unit_interval(self, weights):
-        with pytest.raises(ValueError, match=r"weights must lie in \[0, 1\]"):
-            Scan([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], weights=weights)
+    @pytest.mark.parametrize(
+        "values", [[0.5, np.nan], [-0.1, 0.5], [0.5, 1.5], [np.inf, 0.5], [7.0, 0.5]]
+    )
+    @pytest.mark.parametrize("name", ["densities", "weights"])
+    def test_scan_refuses_scores_outside_unit_interval(self, name, values):
+        with pytest.raises(ValueError, match=rf"{name} must lie in \[0, 1\]"):
+            Scan([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], **{name: values})
 
     @pytest.mark.parametrize("header", ["x,y,z,class", "x,y,z,d,w"])
     def test_header_only_scan_csv_is_empty(self, tmp_path, header):
