@@ -23,12 +23,12 @@ from planloc import (
     WallSegment,
     apply_deviation,
     extrude_floorplan,
+    localize,
     point_to_plane_icp,
     pose_delta,
     prism_position,
     raycast_scan,
     sample_model,
-    selective_localize,
 )
 
 plan = Floorplan2D(
@@ -69,8 +69,8 @@ cfg = SelectiveConfig(
 errors_full, errors_sel = [], []
 for seed in range(10):
     scan = raycast_scan(scene, pose, lidar, seed=seed)
-    out = selective_localize(scan, full_map, ref_map, pose, cfg)
-    full_stage = out.full_icp
+    out = localize(scan, full_map, ref_map, pose, ("selective", "full"), cfg=cfg)
+    full_stage = out.stages[0]
     errors_full.append(np.linalg.norm(prism_position(full_stage.transform, prism) - true_prism))
     if out.localized:
         errors_sel.append(np.linalg.norm(prism_position(out.transform, prism) - true_prism))
@@ -95,7 +95,7 @@ strict = SelectiveConfig(
     selective_icp=cfg.selective_icp,
 )
 scan = raycast_scan(scene, pose, lidar, seed=0)
-out = selective_localize(scan, full_map, ref_map, pose, strict)
+out = localize(scan, full_map, ref_map, pose, ("selective", "full"), cfg=strict)
 print(f"\nwith 0.15 m threshold the refinement is {'accepted' if out.localized else f'rejected: {out.failure_reason.value}'}")
 
 # A plain full-model alignment for comparison, as a single call.

@@ -46,6 +46,7 @@ from .registration import (
     LocalizationResult,
     MapIndex,
     SelectiveConfig,
+    conclude,
     localize,
     result_record,
 )
@@ -488,7 +489,8 @@ def run_execution(
     """Simulate one execution's trial sequence and localize it under every
     requested method, one frame at a time. Trial seeds are `seed + execution * n_scans + trial`.
     Each scan variant X runs one localization per frame: selective × X when
-    requested, else full × X; full × X is the selective run's stage 1.
+    requested, else full × X; full × X concludes the selective run's first
+    stage alone.
 
     On more than one usable CPU, a frame's first localization runs on one
     worker thread while this thread runs the others; each only reads the
@@ -528,7 +530,7 @@ def run_execution(
             results: dict[tuple[str, str], LocalizationResult] = {}
             for method, res in zip(runs, done):
                 results[method] = res
-                results[("full", method[1])] = LocalizationResult.from_full_icp(res.full_icp)
+                results[("full", method[1])] = conclude(res.stages[:1], cfg.selective)
             for method in methods:
                 result = results[method]
                 est = prism_position(result.transform, cfg.prism) if result.localized else None

@@ -1,5 +1,5 @@
-"""Weighted point-to-plane ICP against a sampled map, plus the three-step
-selective localization pipeline with consistency rejection.
+"""Weighted point-to-plane ICP against a sampled map, plus localization as a
+list of ICP stages whose outcome follows from one table of stop causes.
 
 The ICP objective is
 
@@ -73,13 +73,20 @@ class IcpConfig:
 
 @dataclass(frozen=True)
 class IcpResult:
+    """One ICP run and why it stopped (`stop`): its last step fell below both
+    epsilons ("converged"), fewer than `min_correspondences` weighted points
+    matched ("starved"), or it ran all `max_iterations` with its robust cost
+    not rising ("budget_exhausted") or rising ("diverged") on the last one."""
+
     transform: RigidTransform
-    converged: bool
+    stop: str
     iterations: int
     residual_rms_m: float  # weighted RMS of point-to-plane residuals
     correspondences: int  # matched points with weight > 0 at the last iteration
-    # ran all max_iterations without its robust cost rising on the last one
-    budget_exhausted: bool = False
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == "converged"
 
 
 @dataclass(frozen=True)
@@ -99,29 +106,16 @@ class SelectiveConfig:
 
 @dataclass(frozen=True)
 class LocalizationResult:
-    """Either a localized pose or a failure with a stated reason; the stage
-    ICP results are kept for inspection."""
+    """Either a localized pose or a failure with a stated reason, with the
+    ICP result of every stage run, full-map stage first."""
 
     transform: RigidTransform | None
     failure_reason: FailureReason | None
-    full_icp: IcpResult | None = None
-    selective_icp: IcpResult | None = None
+    stages: tuple[IcpResult, ...] = ()
 
     def __post_init__(self):
         if (self.transform is None) == (self.failure_reason is None):
             raise ValueError("exactly one of transform / failure_reason must be set")
-
-    @classmethod
-    def from_full_icp(cls, res: IcpResult) -> LocalizationResult:
-        """The full-map method's outcome: the stage's pose when it converged."""
-        if res.converged:
-            return cls(res.transform, None, res, None)
-        failure = (
-            FailureReason.FULL_ICP_BUDGET_EXHAUSTED
-            if res.budget_exhausted
-            else FailureReason.FULL_ICP_DIVERGED
-        )
-        return cls(None, failure, res, None)
 
     @property
     def localized(self) -> bool:
@@ -318,7 +312,7 @@ def point_to_plane_icp(
     map query per iteration, of the points with weight > 0 alone; it
     searches the kd-tree only for the points whose certificates from earlier
     iterations do not prove the answer unchanged. Never raises on divergence
-    or starvation; inspect `converged` and `budget_exhausted`.
+    or starvation; inspect `stop`.
     """
     points = scan.points
     weights = scan.weights if scan.weights is not None else np.ones(len(points))
@@ -326,7 +320,7 @@ def point_to_plane_icp(
     residual_rms = 0.0
     n_corr = 0
     if len(points) == 0:
-        return IcpResult(transform, False, 0, residual_rms, 0)
+        return IcpResult(transform, "starved", 0, residual_rms, 0)
     positive = weights > 0
     points, weights = points[positive], weights[positive]
     map_points = map_index.cloud.points
@@ -338,7 +332,7 @@ def point_to_plane_icp(
         idx, valid = map_index.query(world, cfg.max_correspondence_m, certificates)
         n_corr = int(valid.sum())
         if n_corr < cfg.min_correspondences:
-            return IcpResult(transform, False, iteration, residual_rms, n_corr)
+            return IcpResult(transform, "starved", iteration, residual_rms, n_corr)
         p = world[valid]
         m = map_points[idx[valid]]
         nrm = map_normals[idx[valid]]
@@ -359,10 +353,9 @@ def point_to_plane_icp(
         omega, v = step[:3], step[3:]
         transform = compose(RigidTransform(rotvec_to_matrix(omega), v), transform)
         if np.linalg.norm(v) < cfg.translation_eps_m and np.linalg.norm(omega) < cfg.rotation_eps_rad:
-            return IcpResult(transform, True, iteration, residual_rms, n_corr)
-    return IcpResult(
-        transform, False, cfg.max_iterations, residual_rms, n_corr, budget_exhausted=cost <= prev_cost
-    )
+            return IcpResult(transform, "converged", iteration, residual_rms, n_corr)
+    stop = "budget_exhausted" if cost <= prev_cost else "diverged"
+    return IcpResult(transform, stop, cfg.max_iterations, residual_rms, n_corr)
 
 
 def pose_to_plane_cost(
@@ -389,47 +382,36 @@ def pose_to_plane_cost(
     return float((weights[active] * kernel_cost(residuals, kernel, huber_scale_m)).sum())
 
 
-def selective_localize(
-    scan: Scan,
-    full_map: MapIndex,
-    ref_map: MapIndex,
-    prev: RigidTransform,
-    cfg: SelectiveConfig = SelectiveConfig(),
-) -> LocalizationResult:
-    """Three-step selective localization.
-
-    1. align the scan to the full building map starting from `prev`;
-    2. refine against the reference map only, starting from step 1;
-    3. reject the refinement when it moved further than the translation or
-       rotation threshold away from the full alignment.
-
-    `ref_map` must be built from a validated reference set.
-    """
-    full_res = point_to_plane_icp(scan, full_map, prev, cfg.full_icp)
-    if not full_res.converged:
-        return LocalizationResult.from_full_icp(full_res)
-    sel_res = point_to_plane_icp(scan, ref_map, full_res.transform, cfg.selective_icp)
-    if not sel_res.converged:
-        if sel_res.correspondences < cfg.selective_icp.min_correspondences:
-            reason = FailureReason.TOO_FEW_REFERENCE_MATCHES
-        elif sel_res.budget_exhausted:
-            reason = FailureReason.SELECTIVE_ICP_BUDGET_EXHAUSTED
-        else:
-            reason = FailureReason.SELECTIVE_ICP_DIVERGED
-        return LocalizationResult(None, reason, full_res, sel_res)
-    delta = pose_delta(sel_res.transform, full_res.transform)
-    if (
-        delta.translation_norm > cfg.tau_translation_m
-        or delta.rotation_angle > cfg.tau_rotation_rad
-    ):
-        return LocalizationResult(
-            None, FailureReason.REJECTED_INCONSISTENT, full_res, sel_res
-        )
-    return LocalizationResult(sel_res.transform, None, full_res, sel_res)
-
-
 ICP_METHODS = ("full", "selective")
 SCAN_METHODS = ("full", "filtered", "weighted")
+
+# The failure of a localization whose stage i (0: the full map, 1: the
+# reference map) stopped with cause `stop`, by (i, stop).
+_STAGE_FAILURES = {
+    (0, "starved"): FailureReason.FULL_ICP_DIVERGED,
+    (0, "diverged"): FailureReason.FULL_ICP_DIVERGED,
+    (0, "budget_exhausted"): FailureReason.FULL_ICP_BUDGET_EXHAUSTED,
+    (1, "starved"): FailureReason.TOO_FEW_REFERENCE_MATCHES,
+    (1, "diverged"): FailureReason.SELECTIVE_ICP_DIVERGED,
+    (1, "budget_exhausted"): FailureReason.SELECTIVE_ICP_BUDGET_EXHAUSTED,
+}
+
+
+def conclude(stages: tuple[IcpResult, ...], cfg: SelectiveConfig) -> LocalizationResult:
+    """The outcome of `stages`, run in order until one did not converge.
+
+    A last stage that did not converge names the failure by its index and
+    stop. After two converged stages, the second is rejected as inconsistent
+    when it moved further than `cfg`'s translation or rotation threshold from
+    the first. Otherwise the last stage's pose is the result.
+    """
+    last = stages[-1]
+    reason = None if last.converged else _STAGE_FAILURES[len(stages) - 1, last.stop]
+    if reason is None and len(stages) == 2:
+        d = pose_delta(last.transform, stages[0].transform)
+        if d.translation_norm > cfg.tau_translation_m or d.rotation_angle > cfg.tau_rotation_rad:
+            reason = FailureReason.REJECTED_INCONSISTENT
+    return LocalizationResult(last.transform if reason is None else None, reason, stages)
 
 
 def localize(
@@ -442,31 +424,40 @@ def localize(
     delta_prime: float = 0.1,
     cfg: SelectiveConfig = SelectiveConfig(),
 ) -> LocalizationResult:
-    """Dispatch one (icp, scan) method combination.
+    """Localize `scan` from `prev` with one (icp, scan) method combination.
 
-    icp  'full'      -> single ICP against the full map
-         'selective' -> three-step pipeline (needs ref_map)
     scan 'full'      -> all points, unit weights
          'filtered'  -> binary density threshold `delta` applied first
          'weighted'  -> linear density weights with threshold `delta_prime`
+                        (an empty scan has nothing to weight)
+    icp  'full'      -> one stage: align to the full building map from `prev`
+         'selective' -> three steps: align to the full map from `prev`, refine
+                        against `ref_map` alone from there, and reject the
+                        refinement when it moved further than the translation
+                        or rotation threshold from the full alignment
+    The stages stop at the first that does not converge, and `conclude` gives
+    the outcome. `ref_map` must be built from a validated reference set.
     """
     icp_method, scan_method = method
     if icp_method not in ICP_METHODS or scan_method not in SCAN_METHODS:
         raise ValueError(f"unknown method tuple {method!r}")
-    if len(scan) == 0:
-        # nothing to weight or match; report it as a failed first stage
-        return LocalizationResult.from_full_icp(IcpResult(prev, False, 0, 0.0, 0))
-    if scan_method == "filtered":
-        scan = weights_binary(scan, delta)
-    elif scan_method == "weighted":
-        scan = weights_linear(scan, delta_prime)
-    if icp_method == "full":
-        return LocalizationResult.from_full_icp(
-            point_to_plane_icp(scan, full_map, prev, cfg.full_icp)
-        )
-    if ref_map is None:
-        raise ValueError("selective localization needs a reference map")
-    return selective_localize(scan, full_map, ref_map, prev, cfg)
+    stages = ((full_map, cfg.full_icp),)
+    if icp_method == "selective":
+        if ref_map is None:
+            raise ValueError("selective localization needs a reference map")
+        stages += ((ref_map, cfg.selective_icp),)
+    if scan_method == "full":
+        scan = Scan(scan.points)
+    elif len(scan):
+        filtered = scan_method == "filtered"
+        scan = weights_binary(scan, delta) if filtered else weights_linear(scan, delta_prime)
+    results = []
+    for map_index, icp_cfg in stages:
+        results.append(point_to_plane_icp(scan, map_index, prev, icp_cfg))
+        if not results[-1].converged:
+            break
+        prev = results[-1].transform
+    return conclude(tuple(results), cfg)
 
 
 def result_record(result: LocalizationResult, icp_method: str, scan_method: str) -> dict:
@@ -479,8 +470,7 @@ def result_record(result: LocalizationResult, icp_method: str, scan_method: str)
             "matches": stage.correspondences,
             "residual_m": float(stage.residual_rms_m),
         }
-        for stage in (result.full_icp, result.selective_icp)
-        if stage is not None
+        for stage in result.stages
     ]
     last = stages[-1] if stages else {"iterations": 0, "matches": 0, "residual_m": 0.0}
     record = {

@@ -543,8 +543,8 @@ def write_scan_csv(scan: Scan, path) -> None:
 
 def read_scan_csv(path) -> Scan:
     """Read a scan CSV in the layout its header names. Every number must be
-    finite, bar a density or weight column that is nan in every row: that
-    one reads back as None."""
+    finite and every density and weight in [0, 1], bar a density or weight
+    column that is nan in every row: that one reads back as None."""
     with open(path) as f:
         header, body = f.readline().strip(), f.read()
     if header not in _SCAN_CSV_ROWS:
@@ -564,9 +564,12 @@ def read_scan_csv(path) -> Scan:
         classes = None
     numbers = np.column_stack([rows["xyz"], *(a for a in (d, w) if a is not None)])
     finite = np.isfinite(numbers).all(axis=1)
-    if not finite.all():
-        line = [n for n, text in enumerate(body.split("\n"), start=2) if text][np.argmin(finite)]
-        raise ValueError(f"{path}:{line}: non-finite number")
+    good = finite & ((numbers[:, 3:] >= 0) & (numbers[:, 3:] <= 1)).all(axis=1)
+    if not good.all():
+        row = np.argmin(good)
+        line = [n for n, text in enumerate(body.split("\n"), start=2) if text][row]
+        what = "density or weight outside [0, 1]" if finite[row] else "non-finite number"
+        raise ValueError(f"{path}:{line}: {what}")
     return Scan(rows["xyz"], densities=d, weights=w, classes=classes)
 
 

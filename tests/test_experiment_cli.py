@@ -25,7 +25,7 @@ from planloc.experiment import (
 from planloc.fusion import FusionConfig
 from planloc.geometry import RigidTransform, compose
 from planloc.metrics import TrialRecord
-from planloc.registration import SCAN_METHODS, LocalizationResult, localize, result_record
+from planloc.registration import SCAN_METHODS, conclude, localize, result_record
 from planloc.sensor_sim import (
     Scan,
     generate_trial_sequence,
@@ -681,9 +681,9 @@ class TestSharedStage:
                     got = getattr(shared.transform, part).tobytes()
                     assert got == getattr(direct.transform, part).tobytes()
             assert shared.failure_reason == direct.failure_reason
-            assert shared.selective_icp is None
-            for field in ("iterations", "residual_rms_m", "correspondences"):
-                assert getattr(shared.full_icp, field) == getattr(direct.full_icp, field)
+            ((stage, direct_stage),) = zip(shared.stages, direct.stages, strict=True)
+            for field in ("stop", "iterations", "residual_rms_m", "correspondences"):
+                assert getattr(stage, field) == getattr(direct_stage, field)
 
     def test_matrix_runs_six_icp_and_two_weightings_per_frame(
         self, tmp_path, monkeypatch, fast_thread_switching
@@ -701,11 +701,11 @@ class TestSharedStage:
     def test_full_method_alone_runs_one_icp_per_frame(self, tmp_path, monkeypatch):
         cfg = load_config(tiny_config(tmp_path, n_scans=2))
         bundle = assemble_scene(cfg)
-        counts = self._count_calls(monkeypatch, ("point_to_plane_icp", "selective_localize"))
+        counts = self._count_calls(monkeypatch, ("point_to_plane_icp",))
         records = run_execution(bundle, cfg, 0, methods=[("full", "filtered")])
         assert list(records) == [("full", "filtered")]
         assert len(records[("full", "filtered")]) == 2
-        assert counts == {"point_to_plane_icp": 2, "selective_localize": 0}
+        assert counts == {"point_to_plane_icp": 2}
 
 
 class TestOneFrameAtATime:
@@ -748,7 +748,7 @@ def sequential_execution(bundle, cfg, execution, methods=METHOD_MATRIX):
                 res = results[method] = experiment.localize_frame(
                     scan, bundle, cfg, cfg.initial_pose, method
                 )
-                results[("full", method[1])] = LocalizationResult.from_full_icp(res.full_icp)
+                results[("full", method[1])] = conclude(res.stages[:1], cfg.selective)
         for method in methods:
             result = results[method]
             est = prism_position(result.transform, cfg.prism) if result.localized else None

@@ -24,7 +24,7 @@ def localized_record(i, prism_est, prism_true=(0, 0, 0), rotvec=(0, 0, 0)):
     result = LocalizationResult(
         transform=pose,
         failure_reason=None,
-        full_icp=IcpResult(pose, True, 3, 0.01, 100),
+        stages=(IcpResult(pose, "converged", 3, 0.01, 100),),
     )
     return TrialRecord(
         scan_index=i,

@@ -24,7 +24,6 @@ from planloc.registration import (
     pose_to_plane_cost,
     residual_jacobian,
     result_record,
-    selective_localize,
 )
 from planloc.sensor_sim import LidarSpec, Scene, raycast_scan
 
@@ -59,6 +58,12 @@ def scan_from_map(cloud: MapCloud, pose: RigidTransform, n: int, seed: int) -> S
     return Scan(points=invert(pose).apply(cloud.points[pick]))
 
 
+def shifted_map(cloud: MapCloud, offset) -> MapIndex:
+    """Index of `cloud` moved by `offset`: a reference map the full map disagrees with."""
+    moved = cloud.points + np.asarray(offset)
+    return MapIndex(MapCloud(moved, cloud.normals, cloud.surface_index, cloud.surface_ids))
+
+
 def irls_icp(scan: Scan, map_index: MapIndex, init: RigidTransform, cfg: IcpConfig) -> IcpResult:
     """Reference solver: point_to_plane_icp as it was before the Huber-Newton
     step, one iteratively-reweighted Gauss-Newton step per iteration for
@@ -76,7 +81,7 @@ def irls_icp(scan: Scan, map_index: MapIndex, init: RigidTransform, cfg: IcpConf
         active = valid & positive
         n_corr = int(active.sum())
         if n_corr < cfg.min_correspondences:
-            return IcpResult(transform, False, iteration, residual_rms, n_corr)
+            return IcpResult(transform, "starved", iteration, residual_rms, n_corr)
         p = world[active]
         m = map_index.cloud.points[idx[active]]
         nrm = map_index.cloud.normals[idx[active]]
@@ -88,8 +93,9 @@ def irls_icp(scan: Scan, map_index: MapIndex, init: RigidTransform, cfg: IcpConf
         omega, v = step[:3], step[3:]
         transform = compose(RigidTransform(rotvec_to_matrix(omega), v), transform)
         if np.linalg.norm(v) < cfg.translation_eps_m and np.linalg.norm(omega) < cfg.rotation_eps_rad:
-            return IcpResult(transform, True, iteration, residual_rms, n_corr)
-    return IcpResult(transform, False, cfg.max_iterations, residual_rms, n_corr)
+            return IcpResult(transform, "converged", iteration, residual_rms, n_corr)
+    # no cost is kept, so a run out of budget does not tell a rising cost apart
+    return IcpResult(transform, "budget_exhausted", cfg.max_iterations, residual_rms, n_corr)
 
 
 def run_to_fixed_point(cfg: IcpConfig) -> IcpConfig:
@@ -609,8 +615,7 @@ class TestBudget:
         scan = self._scan(room_cloud)
         one = point_to_plane_icp(scan, room_index, self.START, IcpConfig(max_iterations=1))
         two = point_to_plane_icp(scan, room_index, self.START, IcpConfig(max_iterations=2))
-        assert not one.converged and one.budget_exhausted
-        assert not two.converged and not two.budget_exhausted
+        assert (one.stop, two.stop) == ("budget_exhausted", "diverged")
 
     def test_full_stage_failure_reasons(self, room_cloud, room_index):
         scan = self._scan(room_cloud)
@@ -629,9 +634,24 @@ class TestBudget:
         scan, ref_map, start = cluttered_room
         # the stage needs 7 iterations; its cost falls from the third to the fourth
         cfg = SelectiveConfig(selective_icp=dataclasses.replace(REF_STAGE, max_iterations=4))
-        res = selective_localize(scan, room_index, ref_map, start, cfg)
+        res = localize(scan, room_index, ref_map, start, ("selective", "full"), cfg=cfg)
         assert res.failure_reason is FailureReason.SELECTIVE_ICP_BUDGET_EXHAUSTED
-        assert res.full_icp.converged and res.selective_icp.iterations == 4
+        full, sel = res.stages
+        assert full.converged and sel.iterations == 4
+
+    def test_selective_stage_diverged(self, room_cloud, room_index):
+        # against a reference map 0.57 m off, gated at 0.35 m, the reference
+        # stage's matches grow 414 -> 600 on its second iteration, so its
+        # summed robust cost rises there
+        scan = scan_from_map(room_cloud, ROBOT_POSE, 600, seed=12)
+        ref = shifted_map(room_cloud, [0.4, 0.4, 0.0])
+        cfg = SelectiveConfig(
+            selective_icp=IcpConfig(max_iterations=2, max_correspondence_m=0.35)
+        )
+        res = localize(scan, room_index, ref, ROBOT_POSE, ("selective", "full"), cfg=cfg)
+        assert res.failure_reason is FailureReason.SELECTIVE_ICP_DIVERGED
+        _, sel = result_record(res, "selective", "full")["stages"]
+        assert sel["iterations"] == 2 and sel["matches"] == 600
 
 
 class TestSelective:
@@ -646,25 +666,18 @@ class TestSelective:
         cfg = SelectiveConfig(
             selective_icp=IcpConfig(max_correspondence_m=0.35, huber_scale_m=0.02)
         )
-        res = selective_localize(scan, full, ref, ROBOT_POSE, cfg)
-        assert res.localized
-        d = pose_delta(res.transform, res.full_icp.transform)
+        res = localize(scan, full, ref, ROBOT_POSE, ("selective", "full"), cfg=cfg)
+        assert res.localized and len(res.stages) == 2
+        d = pose_delta(res.transform, res.stages[0].transform)
         assert d.translation_norm < 0.02
-        assert res.full_icp is not None and res.selective_icp is not None
 
     def test_manufactured_inconsistency_rejected(self, room_cloud):
         # reference map shifted 0.4 m: full and selective stages must disagree
         full = MapIndex(room_cloud)
-        shifted = MapCloud(
-            room_cloud.points + np.array([0.4, 0, 0]),
-            room_cloud.normals,
-            room_cloud.surface_index,
-            room_cloud.surface_ids,
-        )
-        ref = MapIndex(shifted)
+        ref = shifted_map(room_cloud, [0.4, 0, 0])
         scan = scan_from_map(room_cloud, ROBOT_POSE, 600, seed=12)
         cfg = SelectiveConfig(tau_translation_m=0.15, tau_rotation_rad=0.05)
-        res = selective_localize(scan, full, ref, ROBOT_POSE, cfg)
+        res = localize(scan, full, ref, ROBOT_POSE, ("selective", "full"), cfg=cfg)
         assert not res.localized
         assert res.failure_reason is FailureReason.REJECTED_INCONSISTENT
 
@@ -694,7 +707,7 @@ class TestSelective:
         cfg = SelectiveConfig(
             selective_icp=IcpConfig(max_correspondence_m=0.3, min_correspondences=30)
         )
-        res = selective_localize(scan, full, ref, ROBOT_POSE, cfg)
+        res = localize(scan, full, ref, ROBOT_POSE, ("selective", "full"), cfg=cfg)
         assert not res.localized
         assert res.failure_reason is FailureReason.TOO_FEW_REFERENCE_MATCHES
 
@@ -702,9 +715,9 @@ class TestSelective:
         full = MapIndex(room_cloud)
         ref = MapIndex(room_cloud.subset(["floor", "wall_a", "wall_b"]))
         scan = Scan(points=np.full((100, 3), 80.0))
-        res = selective_localize(scan, full, ref, RigidTransform.identity())
+        res = localize(scan, full, ref, RigidTransform.identity(), ("selective", "full"))
         assert res.failure_reason is FailureReason.FULL_ICP_DIVERGED
-        assert res.selective_icp is None
+        assert [stage.stop for stage in res.stages] == ["starved"]
 
 
 class TestLocalizeDispatch:
@@ -718,7 +731,7 @@ class TestLocalizeDispatch:
         scan = self._fused_scan(room_cloud)
         res = localize(scan, room_index, None, ROBOT_POSE, ("full", "full"))
         assert res.localized
-        assert res.selective_icp is None
+        assert len(res.stages) == 1
 
     def test_selective_filtered(self, room_cloud):
         full = MapIndex(room_cloud)
@@ -734,6 +747,19 @@ class TestLocalizeDispatch:
         scan = self._fused_scan(room_cloud)
         res = localize(scan, room_index, None, ROBOT_POSE, ("full", "weighted"))
         assert res.localized
+
+    def test_full_variant_ignores_scan_weights(self, room_cloud, room_index):
+        # all points at unit weight, whatever weights the scan carries
+        scan = scan_from_map(room_cloud, ROBOT_POSE, 500, seed=14)
+        rng = np.random.default_rng(15)
+        weights = np.where(rng.random(500) < 0.3, rng.random(500), 0.0)
+        start = compose(ROBOT_POSE, RigidTransform.from_rotvec([0, 0, 0.02], [0.05, 0, 0]))
+        records = [
+            result_record(localize(s, room_index, None, start, ("full", "full")), "full", "full")
+            for s in (Scan(scan.points, weights=weights), scan)
+        ]
+        assert records[0] == records[1]
+        assert records[0]["matches"] == 500
 
     def test_unknown_method_rejected(self, room_cloud, room_index):
         scan = self._fused_scan(room_cloud)
@@ -763,7 +789,7 @@ class TestResultRecord:
         assert len(record["transform"]["t"]) == 3
         assert "failure_reason" not in record
         assert record["matches"] > 0
-        stage = res.full_icp
+        (stage,) = res.stages
         assert record["stages"] == [
             {"iterations": stage.iterations, "matches": stage.correspondences,
              "residual_m": stage.residual_rms_m}
@@ -772,12 +798,12 @@ class TestResultRecord:
     def test_failed_second_stage_keeps_first_stage(self, cluttered_room, room_index):
         scan, ref_map, start = cluttered_room
         cfg = SelectiveConfig(selective_icp=dataclasses.replace(REF_STAGE, max_iterations=2))
-        res = selective_localize(scan, room_index, ref_map, start, cfg)
+        res = localize(scan, room_index, ref_map, start, ("selective", "full"), cfg=cfg)
         record = result_record(res, "selective", "full")
         assert record["outcome"] == "failed"
         full, sel = record["stages"]
         assert (full["iterations"], full["matches"]) == (
-            res.full_icp.iterations, res.full_icp.correspondences
+            res.stages[0].iterations, res.stages[0].correspondences
         )
         assert (sel["iterations"], sel["matches"], sel["residual_m"]) == (
             record["iterations"], record["matches"], record["residual_m"]

@@ -626,6 +626,10 @@ class TestFileFormats:
             ("x,y,z,d,w\n1,2,3,nan,1\n1,2,3,0.5,1\n", ":2: non-finite number"),
             ("x,y,z,d,w\n1,2,3,0.5,1\n1,2,3,0.5,nan\n", ":3: non-finite number"),
             ("x,y,z,d,w\n1,2,3,inf,nan\n", ":2: non-finite number"),
+            # and every density and weight lies in [0, 1]
+            ("x,y,z,d,w\n1,2,3,0.5,1\n1,2,3,7.0,1\n", ":3: density or weight outside [0, 1]"),
+            ("x,y,z,d,w\n1,2,3,0.5,-0.5\n", ":2: density or weight outside [0, 1]"),
+            ("x,y,z,d,w\n1,2,3,1.5,nan\n", ":2: density or weight outside [0, 1]"),
         ],
     )
     def test_scan_csv_errors_name_the_line(self, tmp_path, text, where):
