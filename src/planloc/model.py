@@ -190,7 +190,7 @@ class Deviation:
 class MapCloud:
     """Sampled point map with per-point normals and source surface ids."""
 
-    points: np.ndarray  # (N, 3)
+    points: np.ndarray  # (N, 3) finite
     normals: np.ndarray  # (N, 3) unit
     surface_index: np.ndarray  # (N,) index into surface_ids
     surface_ids: tuple[str, ...]
@@ -198,15 +198,28 @@ class MapCloud:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
         normals = np.asarray(self.normals, dtype=np.float64)
-        idx = np.asarray(self.surface_index, dtype=np.int32)
-        if not (len(pts) == len(normals) == len(idx)):
-            raise ValueError("map cloud arrays must have equal length")
-        if len(pts) and np.max(np.abs(np.linalg.norm(normals, axis=1) - 1.0)) > 1e-9:
-            raise ValueError("map cloud normals must be unit length")
+        idx = np.asarray(self.surface_index)
+        ids = tuple(self.surface_ids)
+        rows = pts.shape[:1]
+        if pts.shape != (*rows, 3) or normals.shape != pts.shape or idx.shape != rows:
+            raise ValueError(
+                "map cloud points and normals must be shaped (N, 3), surface_index (N,)"
+            )
+        if len(pts):
+            if not np.isfinite(pts).all():
+                raise ValueError("map cloud points must be finite")
+            dev = np.einsum("ij,ij->i", normals, normals)
+            np.sqrt(dev, out=dev)
+            dev -= 1.0
+            np.abs(dev, out=dev)
+            if not dev.max() <= 1e-9:  # a NaN compares false, so it fails too
+                raise ValueError("map cloud normals must be unit length")
+            if idx.min() < 0 or idx.max() >= len(ids):
+                raise ValueError("map cloud surface_index must index its surface ids")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "normals", normals)
-        object.__setattr__(self, "surface_index", idx)
-        object.__setattr__(self, "surface_ids", tuple(self.surface_ids))
+        object.__setattr__(self, "surface_index", idx.astype(np.int32, copy=False))
+        object.__setattr__(self, "surface_ids", ids)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -216,8 +229,8 @@ class MapCloud:
         unknown = wanted - set(self.surface_ids)
         if unknown:
             raise UnknownSurfaceIdError(f"unknown surface ids {sorted(unknown)}")
-        keep_idx = {i for i, sid in enumerate(self.surface_ids) if sid in wanted}
-        mask = np.isin(self.surface_index, sorted(keep_idx))
+        keep = np.array([sid in wanted for sid in self.surface_ids], dtype=bool)
+        mask = keep[self.surface_index]
         return MapCloud(
             self.points[mask],
             self.normals[mask],
@@ -345,41 +358,55 @@ def sample_model(model: BuildingModel, density: float, seed=0) -> MapCloud:
 
     Expected count per triangle is area * density; the fractional part is
     resolved with one Bernoulli draw so totals stay unbiased. Deterministic
-    for a fixed seed.
+    for a fixed seed. Points are written straight into the returned arrays,
+    sized by the bound of floor(area * density) + 1 points per triangle.
     """
-    if density <= 0:
-        raise ValueError("sampling density must be > 0")
+    if not (np.isfinite(density) and density > 0):
+        raise ValueError("sampling density must be finite and > 0")
     rng = np.random.default_rng(seed)
-    pts, nrm, sidx = [], [], []
+    bound = sum(int(np.floor(s.areas * density).sum()) + len(s.areas) for s in model.surfaces)
+    points = np.empty((bound, 3))
+    normals = np.empty((bound, 3))
+    surface_index = np.empty(bound, dtype=np.int32)
+    n = 0
     for si, surface in enumerate(model.surfaces):
-        areas = surface.areas
-        expected = areas * density
-        counts = np.floor(expected).astype(np.int64)
-        counts += rng.random(len(areas)) < (expected - counts)
-        total = int(counts.sum())
-        if total == 0:
-            continue
-        tri_of_point = np.repeat(np.arange(len(areas)), counts)
-        u = rng.random(total)
-        v = rng.random(total)
-        flip = u + v > 1.0
-        u[flip], v[flip] = 1.0 - u[flip], 1.0 - v[flip]
-        tris = surface.triangles[tri_of_point]
-        p = tris[:, 0] + u[:, None] * (tris[:, 1] - tris[:, 0]) + v[:, None] * (
-            tris[:, 2] - tris[:, 0]
-        )
-        pts.append(p)
-        nrm.append(surface.normals[tri_of_point])
-        sidx.append(np.full(total, si, dtype=np.int32))
-    if not pts:
-        empty = np.zeros((0, 3))
-        return MapCloud(empty, empty, np.zeros(0, dtype=np.int32), model.surface_ids)
-    return MapCloud(
-        np.concatenate(pts),
-        np.concatenate(nrm),
-        np.concatenate(sidx),
-        model.surface_ids,
-    )
+        total = _sample_surface(surface, density, rng, points[n:], normals[n:])
+        surface_index[n : n + total] = si
+        n += total
+    return MapCloud(points[:n], normals[:n], surface_index[:n], model.surface_ids)
+
+
+def _sample_surface(
+    surface: Surface, density: float, rng, points: np.ndarray, normals: np.ndarray
+) -> int:
+    """Sample one surface into the leading rows of `points` and `normals`;
+    returns how many rows it wrote. Its per-point temporaries are freed on
+    return, before the next surface's are made."""
+    areas = surface.areas
+    expected = areas * density
+    counts = np.floor(expected).astype(np.int64)
+    counts += rng.random(len(areas)) < (expected - counts)
+    total = int(counts.sum())
+    if total == 0:
+        return 0
+    tri_of_point = np.repeat(np.arange(len(areas)), counts)
+    u = rng.random(total)
+    v = rng.random(total)
+    flip = u + v > 1.0
+    u[flip], v[flip] = 1.0 - u[flip], 1.0 - v[flip]
+    tris = surface.triangles
+    # (v0 + u * e1) + v * e2, summed in the order that gave the maps their
+    # bits, with the edges taken once per triangle; mode="clip" lets
+    # np.take write into `out` without buffering a copy.
+    p = np.take(tris[:, 0], tri_of_point, axis=0, out=points[:total], mode="clip")
+    edge = np.take(tris[:, 1] - tris[:, 0], tri_of_point, axis=0, mode="clip")
+    edge *= u[:, None]
+    p += edge
+    np.take(tris[:, 2] - tris[:, 0], tri_of_point, axis=0, out=edge, mode="clip")
+    edge *= v[:, None]
+    p += edge
+    np.take(surface.normals, tri_of_point, axis=0, out=normals[:total], mode="clip")
+    return total
 
 
 def apply_deviation(model: BuildingModel, deviations: Sequence[Deviation]) -> BuildingModel:

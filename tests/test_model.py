@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from planloc.model import (
     EmptyPlanError,
     Floorplan2D,
     InsufficientConstraintsError,
+    MapCloud,
     ReferenceSet,
     Surface,
     UnknownSurfaceIdError,
@@ -214,6 +217,41 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_model(room_model, 0.0)
 
+    @pytest.mark.parametrize("density", [np.nan, np.inf])
+    def test_non_finite_density_rejected(self, room_model, density):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            sample_model(room_model, density)
+
+    @pytest.mark.parametrize(
+        "density, seed, n, digest",
+        [
+            (50.0, 42, 8480, "9d7a93e915cb0bdaa8609c8cb76780e878045716474912ab1127270b9adc3ecd"),
+            (777.7, 9, 131899, "7cd14ee8e2a149842e7099cbd3f309300379318c9f5a5dac1e67da6f15c9d29c"),
+        ],
+    )
+    def test_sampled_bytes_pinned(self, room_model, density, seed, n, digest):
+        # Digests of the map as first recorded: a change to the sampler's
+        # arithmetic or draw order shows here before it moves any output.
+        cloud = sample_model(room_model, density, seed=seed)
+        h = hashlib.sha256()
+        for arr in (cloud.points, cloud.normals, cloud.surface_index):
+            h.update(arr.tobytes())
+        assert (len(cloud), h.hexdigest()) == (n, digest)
+
+    def test_peak_memory_near_the_returned_arrays(self, room_model):
+        # Sampling writes into the map's own arrays; a per-point copy of
+        # them (a gather of whole triangles, a concatenation) shows as a
+        # peak of 2-3x the returned bytes.
+        tracemalloc.start()
+        try:
+            cloud = sample_model(room_model, 1500.0, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cloud) >= 200_000
+        returned = cloud.points.nbytes + cloud.normals.nbytes + cloud.surface_index.nbytes
+        assert peak < 1.5 * returned
+
     def test_deterministic_under_seed(self, room_model):
         a = sample_model(room_model, 50.0, seed=42)
         b = sample_model(room_model, 50.0, seed=42)
@@ -234,6 +272,72 @@ class TestSampling:
         assert all(cloud.surface_ids[i] == "floor" for i in sub.surface_index)
         with pytest.raises(UnknownSurfaceIdError):
             cloud.subset(["missing"])
+
+
+def unit_cloud(**changes) -> dict:
+    """Arguments of a valid four-point, one-surface MapCloud, with `changes`
+    applied."""
+    args = {
+        "points": np.arange(12.0).reshape(4, 3),
+        "normals": np.tile([0.0, 0.0, 1.0], (4, 1)),
+        "surface_index": np.zeros(4, dtype=np.int32),
+        "surface_ids": ("s",),
+    }
+    args.update(changes)
+    return args
+
+
+class TestMapCloud:
+    def test_non_finite_point_rejected(self):
+        args = unit_cloud()
+        args["points"][2, 1] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            MapCloud(**args)
+
+    def test_nan_normal_rejected(self):
+        args = unit_cloud()
+        args["normals"][1] = np.nan
+        with pytest.raises(ValueError, match="unit length"):
+            MapCloud(**args)
+
+    def test_off_unit_normal_rejected(self):
+        args = unit_cloud()
+        args["normals"][3] *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match="unit length"):
+            MapCloud(**args)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"points": np.zeros((2, 2)), "normals": np.eye(2)},
+            {"points": np.zeros(4)},
+            {"normals": np.zeros((4, 3, 1)) + np.array([[0.0], [0.0], [1.0]])},
+        ],
+        ids=["two_columns", "flat_points", "three_dim_normals"],
+    )
+    def test_arrays_not_shaped_n_by_3_rejected(self, changes):
+        args = unit_cloud(**changes)
+        args["surface_index"] = np.zeros(len(args["points"]), dtype=np.int32)
+        with pytest.raises(ValueError, match="shaped"):
+            MapCloud(**args)
+
+    @pytest.mark.parametrize("bad", [5, 1, -1, 2**32])
+    def test_surface_index_out_of_range_rejected(self, bad):
+        args = unit_cloud(surface_index=np.array([0, bad, 0, 0], dtype=np.int64))
+        with pytest.raises(ValueError, match="index its surface ids"):
+            MapCloud(**args)
+
+    def test_subset_keeps_rows_in_order(self, room_model):
+        cloud = sample_model(room_model, 20.0, seed=4)
+        wanted = ["wall_c", "floor"]
+        sub = cloud.subset(wanted)
+        rows = np.flatnonzero(
+            [cloud.surface_ids[i] in wanted for i in cloud.surface_index]
+        )
+        np.testing.assert_array_equal(sub.points, cloud.points[rows])
+        np.testing.assert_array_equal(sub.normals, cloud.normals[rows])
+        np.testing.assert_array_equal(sub.surface_index, cloud.surface_index[rows])
+        assert sub.surface_ids == cloud.surface_ids
 
 
 class TestDeviation:
