@@ -122,7 +122,7 @@ _POSE = {"translation": _numbers(3), "yaw_deg": NUM, "quaternion": _numbers(4)}
 _BOX = {"id": STR, "center": _numbers(3), "size": _numbers(3), "yaw_deg": NUM}
 _ICP = {
     "max_iterations": INT, "max_correspondence_m": NUM, "translation_eps_m": NUM,
-    "rotation_eps_rad": NUM, "kernel": STR, "huber_scale_m": NUM, "min_correspondences": INT,
+    "rotation_eps_rad": NUM, "huber_scale_m": NUM, "min_correspondences": INT,
 }
 
 # Every key that each JSON input may hold, with the kind of its value: a leaf
@@ -269,6 +269,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_scans < 1 or self.n_executions < 1:
             raise ValueError("n_scans and n_executions must be >= 1")
+        if not self.delta_prime >= 0:  # 1 + delta_prime normalizes the linear weights
+            raise ValueError("delta_prime: expected a number >= 0")
 
 
 def _clutter_surface(defn: dict):

@@ -117,6 +117,8 @@ def weights_linear(scan: Scan, delta_prime: float = 0.1) -> Scan:
 
     All points are retained; low-density points just lose influence.
     """
+    if not delta_prime >= 0:
+        raise FusionError("delta_prime must be >= 0")
     if scan.densities is None:
         raise MissingDensitiesError("linear weighting needs fused densities")
     if len(scan) == 0:

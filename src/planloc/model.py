@@ -216,9 +216,12 @@ class MapCloud:
                 raise ValueError("map cloud normals must be unit length")
             if idx.min() < 0 or idx.max() >= len(ids):
                 raise ValueError("map cloud surface_index must index its surface ids")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "normals", normals)
-        object.__setattr__(self, "surface_index", idx.astype(np.int32, copy=False))
+        # read-only views, no copies: a MapIndex's kd-tree shares `points`
+        for name, array in (("points", pts), ("normals", normals),
+                            ("surface_index", idx.astype(np.int32, copy=False))):
+            view = array.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
         object.__setattr__(self, "surface_ids", ids)
 
     def __len__(self) -> int:

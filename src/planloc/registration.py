@@ -6,14 +6,16 @@ The ICP objective is
     argmin_T  sum_i  w_i * c[ (T(p_i) - m_i) . n(m_i) ]
 
 where m_i is the nearest map point to the transformed scan point, n(m_i) its
-surface normal, w_i the per-point scan weight, and c a squared or Huber cost.
-Each iteration re-matches and takes one step over a left-multiplied twist
-increment (rotation via the exponential map). With the squared kernel it is
-the Gauss-Newton step. With the Huber kernel it is a Newton step of the Huber
-cost (gradient of the clipped residuals, Hessian of the inliers), taken when
-that Hessian has full rank and no residual is predicted to move by more than
-the Huber scale; otherwise it is the iteratively-reweighted (IRLS)
-Gauss-Newton step, which converges only linearly under a tight scale.
+surface normal, w_i the per-point scan weight, and c the Huber cost at scale
+s (Huber 1964). A residual is at most the distance to its match, so with s at
+or above the correspondence gate c is the squared cost. Each iteration
+re-matches, forms the residuals and their Jacobian once, and takes one step
+over a left-multiplied twist increment (rotation via the exponential map): a
+Newton step of the Huber cost (gradient of the clipped residuals, Hessian of
+the inliers), taken when that Hessian has full rank and no residual is
+predicted to move by more than s; otherwise the iteratively-reweighted (IRLS)
+Gauss-Newton step, which converges only linearly under a tight scale. With
+every residual an inlier, both are the Gauss-Newton step, bit for bit.
 
 Selective localization first aligns against the full building map, then
 refines against the task-reference map only, and rejects the refinement when
@@ -34,9 +36,6 @@ from .geometry import RigidTransform, compose, pose_delta, rotvec_to_matrix
 from .model import MapCloud
 from .sensor_sim import Scan
 
-KERNELS = ("squared", "huber")
-
-
 class FailureReason(str, enum.Enum):
     FULL_ICP_DIVERGED = "full_icp_diverged"
     SELECTIVE_ICP_DIVERGED = "selective_icp_diverged"
@@ -52,13 +51,10 @@ class IcpConfig:
     max_correspondence_m: float = 0.5
     translation_eps_m: float = 1e-4
     rotation_eps_rad: float = 1e-5
-    kernel: str = "huber"
     huber_scale_m: float = 0.05
     min_correspondences: int = 30
 
     def __post_init__(self):
-        if self.kernel not in KERNELS:
-            raise ValueError(f"kernel must be one of {KERNELS}")
         values = (
             self.max_iterations,
             self.max_correspondence_m,
@@ -237,35 +233,27 @@ def residual_jacobian(points: np.ndarray, normals: np.ndarray) -> np.ndarray:
     return np.concatenate([np.cross(points, normals), normals], axis=1)
 
 
-def _kernel_weights(residuals: np.ndarray, kernel: str, scale: float) -> np.ndarray:
-    if kernel == "squared":
-        return np.ones_like(residuals)
+def _kernel_weights(residuals: np.ndarray, scale: float) -> np.ndarray:
     absr = np.abs(residuals)
     return np.where(absr <= scale, 1.0, scale / np.where(absr > 0, absr, 1.0))
 
 
-def kernel_cost(residuals: np.ndarray, kernel: str, scale: float) -> np.ndarray:
-    """Per-residual cost consistent with the IRLS weights of _kernel_weights."""
-    if kernel == "squared":
-        return residuals * residuals
+def kernel_cost(residuals: np.ndarray, scale: float) -> np.ndarray:
+    """Per-residual Huber cost, consistent with the IRLS weights of
+    _kernel_weights: r^2 for |r| <= scale (every r under an infinite scale),
+    scale (2|r| - scale) beyond."""
     absr = np.abs(residuals)
     return np.where(absr <= scale, residuals * residuals, scale * (2.0 * absr - scale))
 
 
-def gauss_newton_step(
-    points: np.ndarray,
-    matched_points: np.ndarray,
-    matched_normals: np.ndarray,
-    weights: np.ndarray,
-) -> np.ndarray:
+def gauss_newton_step(jac: np.ndarray, residuals: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """One weighted Gauss-Newton increment (rotvec, translation) minimizing
-    the linearized point-to-plane objective for fixed correspondences.
+    the linearized point-to-plane objective for fixed correspondences, given
+    their residuals and `residual_jacobian`.
 
     Uses a minimum-norm solve so unconstrained directions (degenerate
     reference geometry) receive a zero increment instead of blowing up.
     """
-    residuals = np.einsum("ij,ij->i", points - matched_points, matched_normals)
-    jac = residual_jacobian(points, matched_normals)
     h = (jac * weights[:, None]).T @ jac
     g = jac.T @ (weights * residuals)
     step, *_ = np.linalg.lstsq(h, -g, rcond=None)
@@ -273,11 +261,7 @@ def gauss_newton_step(
 
 
 def huber_newton_step(
-    points: np.ndarray,
-    matched_normals: np.ndarray,
-    weights: np.ndarray,
-    residuals: np.ndarray,
-    scale: float,
+    jac: np.ndarray, residuals: np.ndarray, weights: np.ndarray, scale: float
 ) -> np.ndarray | None:
     """Newton increment of the Huber cost for fixed correspondences, or None
     when it cannot be trusted.
@@ -288,7 +272,6 @@ def huber_newton_step(
     above the minimum) and no residual is predicted to move by more than
     `scale` (else the inlier set it was built from no longer holds).
     """
-    jac = residual_jacobian(points, matched_normals)
     inlier_w = np.where(np.abs(residuals) <= scale, weights, 0.0)
     h = (jac * inlier_w[:, None]).T @ jac
     g = jac.T @ (weights * np.clip(residuals, -scale, scale))
@@ -338,48 +321,21 @@ def point_to_plane_icp(
         nrm = map_normals[idx[valid]]
         w = weights[valid]
         residuals = np.einsum("ij,ij->i", p - m, nrm)
-        step = (
-            huber_newton_step(p, nrm, w, residuals, cfg.huber_scale_m)
-            if cfg.kernel == "huber"
-            else None
-        )
+        jac = residual_jacobian(p, nrm)
+        step = huber_newton_step(jac, residuals, w, cfg.huber_scale_m)
         if step is None:
-            irls = _kernel_weights(residuals, cfg.kernel, cfg.huber_scale_m)
-            step = gauss_newton_step(p, m, nrm, w * irls)
+            irls = _kernel_weights(residuals, cfg.huber_scale_m)
+            step = gauss_newton_step(jac, residuals, w * irls)
         w_sum = float(w.sum())
         residual_rms = math.sqrt(float((w * residuals**2).sum()) / w_sum)
         prev_cost = cost
-        cost = float((w * kernel_cost(residuals, cfg.kernel, cfg.huber_scale_m)).sum())
+        cost = float((w * kernel_cost(residuals, cfg.huber_scale_m)).sum())
         omega, v = step[:3], step[3:]
         transform = compose(RigidTransform(rotvec_to_matrix(omega), v), transform)
         if np.linalg.norm(v) < cfg.translation_eps_m and np.linalg.norm(omega) < cfg.rotation_eps_rad:
             return IcpResult(transform, "converged", iteration, residual_rms, n_corr)
     stop = "budget_exhausted" if cost <= prev_cost else "diverged"
     return IcpResult(transform, stop, cfg.max_iterations, residual_rms, n_corr)
-
-
-def pose_to_plane_cost(
-    scan: Scan,
-    map_index: MapIndex,
-    pose: RigidTransform,
-    kernel: str = "squared",
-    huber_scale_m: float = 0.05,
-    max_correspondence_m: float = np.inf,
-) -> float:
-    """Total weighted point-to-plane cost of a pose, with re-matching.
-
-    Matches the ICP objective for the same kernel/gating; useful as an
-    independent yardstick (e.g. exhaustive grid sweeps).
-    """
-    weights = scan.weights if scan.weights is not None else np.ones(len(scan))
-    world = pose.apply(scan.points)
-    idx, valid = map_index.query(world, max_correspondence_m)
-    active = valid & (weights > 0)
-    p = world[active]
-    m = map_index.cloud.points[idx[active]]
-    nrm = map_index.cloud.normals[idx[active]]
-    residuals = np.einsum("ij,ij->i", p - m, nrm)
-    return float((weights[active] * kernel_cost(residuals, kernel, huber_scale_m)).sum())
 
 
 ICP_METHODS = ("full", "selective")

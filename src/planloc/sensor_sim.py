@@ -94,6 +94,8 @@ def default_camera_rig(
     """Evenly yaw-spaced cameras (0, +120, -120 degrees for the default three)
     giving near-full azimuth coverage around the robot.
     """
+    if not 0 < hfov_deg < 180:
+        raise ValueError("hfov_deg must lie strictly between 0 and 180")
     f = (width / 2.0) / np.tan(np.deg2rad(hfov_deg) / 2.0)
     # camera axes in body coordinates at yaw 0: optical axis along +x(body)
     base = np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])

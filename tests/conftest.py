@@ -1,4 +1,5 @@
-"""Shared scene builders and subprocess environment for the test suite."""
+"""Shared scene builders, a pose-cost yardstick and the subprocess environment
+for the test suite."""
 
 import os
 from pathlib import Path
@@ -14,7 +15,8 @@ from planloc import (
     apply_deviation,
     extrude_floorplan,
 )
-from planloc.sensor_sim import Scene
+from planloc.registration import MapIndex, kernel_cost
+from planloc.sensor_sim import Scan, Scene
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -40,6 +42,27 @@ def square_room_plan(side: float = 6.0, thickness: float = 0.2, height: float = 
         wall_height=height,
         floor_outline=np.array([[0, 0], [s, 0], [s, s], [0, s]], dtype=float),
     )
+
+
+def pose_to_plane_cost(
+    scan: Scan,
+    map_index: MapIndex,
+    pose: RigidTransform,
+    huber_scale_m: float = np.inf,
+    max_correspondence_m: float = np.inf,
+) -> float:
+    """Total weighted point-to-plane cost of a pose, with re-matching: the
+    ICP objective at this Huber scale and gate (under the default infinite
+    scale, the squared cost), as an independent yardstick."""
+    weights = scan.weights if scan.weights is not None else np.ones(len(scan))
+    world = pose.apply(scan.points)
+    idx, valid = map_index.query(world, max_correspondence_m)
+    active = valid & (weights > 0)
+    p = world[active]
+    m = map_index.cloud.points[idx[active]]
+    nrm = map_index.cloud.normals[idx[active]]
+    residuals = np.einsum("ij,ij->i", p - m, nrm)
+    return float((weights[active] * kernel_cost(residuals, huber_scale_m)).sum())
 
 
 def random_rotvec(rng: np.random.Generator, max_angle: float = np.pi * 0.9) -> np.ndarray:

@@ -26,12 +26,11 @@ from planloc.registration import (
     MapIndex,
     gauss_newton_step,
     point_to_plane_icp,
-    pose_to_plane_cost,
     residual_jacobian,
 )
 from planloc.sensor_sim import LidarSpec, Scene, raycast_scan
 
-from conftest import random_rotvec, square_room_plan, src_env
+from conftest import pose_to_plane_cost, random_rotvec, square_room_plan, src_env
 from test_metrics import (
     failed_record,
     localized_record,
@@ -443,12 +442,12 @@ def test_c8_brute_force_pose_grid(room_model):
         max_correspondence_m=np.inf,
         translation_eps_m=1e-7,
         rotation_eps_rad=1e-8,
-        kernel="squared",
+        huber_scale_m=np.inf,  # Huber at the infinite gate: the squared cost
         min_correspondences=30,
     )
     res = point_to_plane_icp(scan, index, pose, cfg)
     assert res.converged
-    icp_cost = pose_to_plane_cost(scan, index, res.transform, kernel="squared")
+    icp_cost = pose_to_plane_cost(scan, index, res.transform)
 
     offsets = np.arange(-0.1, 0.1001, 0.005)
     yaws = np.deg2rad(np.arange(-2.0, 2.001, 0.1))
@@ -555,9 +554,10 @@ def test_c10_argmin_invariances(room_model, room_scene):
     nrm = index.cloud.normals[idx[valid]]
     rng = np.random.default_rng(10)
     w = rng.uniform(0.05, 1.0, size=len(p))
-    base_step = gauss_newton_step(p, m, nrm, w)
+    jac, residuals = residual_jacobian(p, nrm), np.einsum("ij,ij->i", p - m, nrm)
+    base_step = gauss_newton_step(jac, residuals, w)
     scale_dev = max(
-        float(np.max(np.abs(gauss_newton_step(p, m, nrm, lam * w) - base_step)))
+        float(np.max(np.abs(gauss_newton_step(jac, residuals, lam * w) - base_step)))
         for lam in (0.01, 7.3, 1000.0)
     )
     ok = equal <= 1e-9 and scale_dev <= 1e-10

@@ -213,6 +213,23 @@ class TestConfig:
         assert capsys.readouterr().err == f"error: {path}: seed: expected an integer >= 0\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("source", ["config", "override"])
+    def test_negative_delta_prime_exits_two(self, tmp_path, capsys, source):
+        path = tiny_config(tmp_path, fusion={"delta_prime": -1 if source == "config" else 0.1})
+        flags = ["--delta-prime", "-1"] if source == "override" else []
+        assert cli.main(["run-matrix", "--config", str(path), *flags]) == 2
+        message = "delta_prime: expected a number >= 0"
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("hfov_deg", [0, 180])
+    def test_degenerate_field_of_view_exits_two(self, tmp_path, capsys, hfov_deg):
+        path = tiny_config(tmp_path, cameras={"hfov_deg": hfov_deg})
+        assert cli.main(["run-matrix", "--config", str(path)]) == 2
+        message = "hfov_deg must lie strictly between 0 and 180"
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("count", [0, -1])
     def test_camera_count_below_one_exits_two(self, tmp_path, capsys, count):
         path = tiny_config(tmp_path, cameras={"count": count})
@@ -416,6 +433,16 @@ class TestBuildScene:
             ),
             (
                 "exp.json",
+                lambda d: {**d, "icp": {"kernel": "squared"}},
+                "icp: unknown field 'kernel'",
+            ),
+            (
+                "exp.json",
+                lambda d: {**d, "selective": {"icp": {"kernel": "huber"}}},
+                "selective.icp: unknown field 'kernel'",
+            ),
+            (
+                "exp.json",
                 lambda d: {**d, "density_oracle": {"mu_background": 0.1}},
                 "density_oracle: unknown field 'mu_background'",
             ),
@@ -537,7 +564,8 @@ class TestBuildScene:
             "wall_without_thickness", "references_not_a_list", "unknown_reference",
             "config_is_a_list", "lidar_misspelt_key", "cameras_misspelt_key",
             "density_oracle_misspelt_key", "fusion_misspelt_key", "icp_misspelt_key",
-            "selective_misspelt_key", "selective_icp_misspelt_key", "field_name_alias",
+            "selective_misspelt_key", "selective_icp_misspelt_key", "icp_kernel",
+            "selective_icp_kernel", "field_name_alias",
             "icp_not_an_object", "lidar_not_an_object", "selective_icp_not_an_object",
             "corrupt_surfaces_a_string", "unknown_corrupt_surface", "robot_pose_misspelt_key",
             "deviation_misspelt_key", "top_level_misspelt_key", "clutter_misspelt_key",

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from planloc.fusion import (
     DegenerateDensitiesError,
     FusionConfig,
+    FusionError,
     MissingDensitiesError,
     fuse_densities,
     weights_binary,
@@ -160,6 +161,14 @@ class TestLinearWeights:
     def test_missing_densities(self):
         with pytest.raises(MissingDensitiesError):
             weights_linear(Scan(points=np.zeros((2, 3))))
+
+    @pytest.mark.parametrize("delta_prime", [-1.0, -0.5, -2.0, np.nan])
+    def test_negative_threshold_rejected(self, delta_prime):
+        # 1 + delta' normalizes the weights: -1 divides by zero, below it
+        # the weights invert
+        scan = Scan(points=np.zeros((2, 3)), densities=np.array([0.2, 0.8]))
+        with pytest.raises(FusionError, match="delta_prime must be >= 0"):
+            weights_linear(scan, delta_prime)
 
     def test_degenerate_densities(self):
         scan = Scan(points=np.zeros((2, 3)), densities=np.zeros(2))

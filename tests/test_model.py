@@ -339,6 +339,18 @@ class TestMapCloud:
         np.testing.assert_array_equal(sub.surface_index, cloud.surface_index[rows])
         assert sub.surface_ids == cloud.surface_ids
 
+    def test_arrays_are_read_only_views(self, room_model):
+        """A MapIndex's kd-tree shares `points`, so no write may reach it;
+        the cloud holds views of its arrays, not copies."""
+        args = unit_cloud()
+        cloud = MapCloud(**args)
+        assert np.shares_memory(cloud.points, args["points"])
+        sub = sample_model(room_model, 20.0, seed=4).subset(["floor"])
+        for arrays in (cloud, sub):
+            for name in ("points", "normals", "surface_index"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(arrays, name)[0] = 0
+
 
 class TestDeviation:
     def test_identity_offset_bitwise_equal(self, room_model):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from planloc import registration
 from planloc.experiment import assemble_scene, load_config
 from planloc.fusion import Scan, weights_linear
 from planloc.geometry import RigidTransform, compose, invert, pose_delta, rotvec_to_matrix
@@ -21,13 +22,12 @@ from planloc.registration import (
     huber_newton_step,
     localize,
     point_to_plane_icp,
-    pose_to_plane_cost,
     residual_jacobian,
     result_record,
 )
 from planloc.sensor_sim import LidarSpec, Scene, raycast_scan
 
-from conftest import random_rotvec
+from conftest import pose_to_plane_cost, random_rotvec
 from test_acceptance import deviation_config
 
 
@@ -66,9 +66,8 @@ def shifted_map(cloud: MapCloud, offset) -> MapIndex:
 
 def irls_icp(scan: Scan, map_index: MapIndex, init: RigidTransform, cfg: IcpConfig) -> IcpResult:
     """Reference solver: point_to_plane_icp as it was before the Huber-Newton
-    step, one iteratively-reweighted Gauss-Newton step per iteration for
-    either kernel. Same fixed points; under a tight Huber scale it gets there
-    only linearly."""
+    step, one iteratively-reweighted Gauss-Newton step per iteration. Same
+    fixed points; under a tight Huber scale it gets there only linearly."""
     points = scan.points
     weights = scan.weights if scan.weights is not None else np.ones(len(points))
     transform = init
@@ -87,8 +86,8 @@ def irls_icp(scan: Scan, map_index: MapIndex, init: RigidTransform, cfg: IcpConf
         nrm = map_index.cloud.normals[idx[active]]
         w = weights[active]
         residuals = np.einsum("ij,ij->i", p - m, nrm)
-        irls = _kernel_weights(residuals, cfg.kernel, cfg.huber_scale_m)
-        step = gauss_newton_step(p, m, nrm, w * irls)
+        irls = _kernel_weights(residuals, cfg.huber_scale_m)
+        step = gauss_newton_step(residual_jacobian(p, nrm), residuals, w * irls)
         residual_rms = math.sqrt(float((w * residuals**2).sum()) / float(w.sum()))
         omega, v = step[:3], step[3:]
         transform = compose(RigidTransform(rotvec_to_matrix(omega), v), transform)
@@ -98,11 +97,24 @@ def irls_icp(scan: Scan, map_index: MapIndex, init: RigidTransform, cfg: IcpConf
     return IcpResult(transform, "budget_exhausted", cfg.max_iterations, residual_rms, n_corr)
 
 
+def at_the_gate(cfg: IcpConfig) -> IcpConfig:
+    """`cfg` with its Huber scale at its gate: every matched residual is an
+    inlier, so the cost is the squared one and each step Gauss-Newton's."""
+    return dataclasses.replace(cfg, huber_scale_m=cfg.max_correspondence_m)
+
+
 def run_to_fixed_point(cfg: IcpConfig) -> IcpConfig:
     """`cfg` run far past its stop criteria, for the reference solver."""
     return dataclasses.replace(
         cfg, max_iterations=200, translation_eps_m=1e-7, rotation_eps_rad=1e-8
     )
+
+
+def counted(monkeypatch, module, name: str) -> list:
+    """Replace `module.name` by a wrapper that records each call; the record."""
+    calls, fn = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or fn(*a))
+    return calls
 
 
 def assert_same_pose(a: RigidTransform, b: RigidTransform) -> None:
@@ -121,9 +133,7 @@ def assert_bit_identical(res: IcpResult, ref: IcpResult) -> None:
 
 
 def huber_cost(scan: Scan, map_index: MapIndex, pose: RigidTransform, cfg: IcpConfig) -> float:
-    return pose_to_plane_cost(
-        scan, map_index, pose, "huber", cfg.huber_scale_m, cfg.max_correspondence_m
-    )
+    return pose_to_plane_cost(scan, map_index, pose, cfg.huber_scale_m, cfg.max_correspondence_m)
 
 
 class TestIcpConfig:
@@ -131,6 +141,9 @@ class TestIcpConfig:
         "max_iterations", "max_correspondence_m", "translation_eps_m", "rotation_eps_rad",
         "huber_scale_m", "min_correspondences",
     )
+
+    def test_fields(self):
+        assert {f.name for f in dataclasses.fields(IcpConfig)} == set(self.FIELDS)
 
     @pytest.mark.parametrize("value", [np.nan, 0, -1.0])
     @pytest.mark.parametrize("name", FIELDS)
@@ -373,7 +386,7 @@ class TestIcp:
         weights = np.random.default_rng(19).uniform(0.0, 1.0, len(scan))
         weights[weights < 0.4] = 0.0
         weighted = Scan(points=scan.points, weights=weights)
-        run = (weighted, room_index, start, IcpConfig(kernel="squared"))
+        run = (weighted, room_index, start, at_the_gate(IcpConfig()))
         assert_bit_identical(point_to_plane_icp(*run), irls_icp(*run))
 
     def test_empty_scan_never_throws(self, room_index):
@@ -390,8 +403,9 @@ class TestIcp:
         assert not res.converged
 
     def test_linearized_objective_non_increasing(self, room_cloud, room_index):
-        # squared kernel, fixed correspondences: the Gauss-Newton step cannot
-        # increase the linearized cost it minimizes
+        # Huber at the gate, fixed correspondences: the step is the
+        # Gauss-Newton step, which cannot increase the linearized cost it
+        # minimizes
         rng = np.random.default_rng(6)
         scan = scan_from_map(room_cloud, ROBOT_POSE, 400, seed=7)
         init = compose(
@@ -405,8 +419,10 @@ class TestIcp:
         n = room_index.cloud.normals[idx[valid]]
         w = np.ones(len(p))
         residuals = np.einsum("ij,ij->i", p - m, n)
-        step = gauss_newton_step(p, m, n, w)
         jac = residual_jacobian(p, n)
+        step = huber_newton_step(jac, residuals, w, 0.5)
+        assert step is not None
+        assert np.array_equal(step, gauss_newton_step(jac, residuals, w))
         linearized_after = residuals + jac @ step
         assert (linearized_after**2).sum() <= (residuals**2).sum() + 1e-12
 
@@ -420,9 +436,10 @@ class TestIcp:
         p, m = world[valid], room_index.cloud.points[idx[valid]]
         n = room_index.cloud.normals[idx[valid]]
         w = rng.uniform(0.1, 1.0, size=len(p))
-        base = gauss_newton_step(p, m, n, w)
+        jac, residuals = residual_jacobian(p, n), np.einsum("ij,ij->i", p - m, n)
+        base = gauss_newton_step(jac, residuals, w)
         for lam in (3.7, 0.02, 250.0):
-            scaled = gauss_newton_step(p, m, n, lam * w)
+            scaled = gauss_newton_step(jac, residuals, lam * w)
             assert np.max(np.abs(scaled - base)) < 1e-10
 
     def test_uniform_density_weights_match_unweighted(self, room_cloud, room_index):
@@ -521,16 +538,26 @@ class TestHuberNewton:
         res = point_to_plane_icp(scan, ref_map, start, REF_STAGE)
         assert res.iterations > 1 and len(calls) == res.iterations
 
-    def test_squared_kernel_is_bit_identical(self, cluttered_room, room_index, c4_frame):
+    def test_one_jacobian_per_iteration(self, cluttered_room, room_index, monkeypatch):
+        # the Newton step is refused on one of these 4 iterations, and the
+        # IRLS step taken instead reuses that iteration's Jacobian
+        scan, _, start = cluttered_room
+        jacobians = counted(monkeypatch, registration, "residual_jacobian")
+        irls_steps = counted(monkeypatch, registration, "gauss_newton_step")
+        res = point_to_plane_icp(scan, room_index, start)
+        assert res.converged and len(irls_steps) == 1
+        assert len(jacobians) == res.iterations
+
+    def test_huber_at_the_gate_is_bit_identical(self, cluttered_room, room_index, c4_frame):
         scan, ref_map, start = cluttered_room
         rng = np.random.default_rng(18)
         weighted = Scan(points=scan.points, weights=rng.uniform(0.0, 1.0, len(scan)))
-        squared = IcpConfig(kernel="squared")
+        squared = at_the_gate(IcpConfig())
         c4_scan, maps, cfg = c4_frame
         runs = [
             (scan, room_index, start, squared),
             (weighted, room_index, start, squared),
-            (scan, ref_map, start, dataclasses.replace(REF_STAGE, kernel="squared")),
+            (scan, ref_map, start, at_the_gate(REF_STAGE)),
             (c4_scan, maps.full_map, cfg.initial_pose, squared),
         ]
         for run in runs:
@@ -547,7 +574,7 @@ class TestCertifiedQueries:
         scan, _, start = cluttered_room
         weights = np.random.default_rng(18).uniform(0.0, 1.0, len(scan))
         weights[weights < 0.2] = 0.0
-        cfg = run_to_fixed_point(IcpConfig(kernel="squared"))
+        cfg = run_to_fixed_point(at_the_gate(IcpConfig()))
         run = (Scan(scan.points, weights=weights), room_index, start, cfg)
         ref = irls_icp(*run)  # searches every point on every iteration
         tree = CountingTree(room_index._tree)
@@ -588,19 +615,19 @@ class TestNewtonStep:
         rng = np.random.default_rng(19)
         p, nrm, r = self._matches(room_cloud, 400, 19, rng.uniform(-0.01, 0.01, 400))
         w = rng.uniform(0.1, 1.0, 400)
-        step = huber_newton_step(p, nrm, w, r, 0.02)
-        np.testing.assert_allclose(step, gauss_newton_step(p, p - r[:, None] * nrm, nrm, w), atol=1e-12)
+        jac = residual_jacobian(p, nrm)
+        np.testing.assert_array_equal(huber_newton_step(jac, r, w, 0.02), gauss_newton_step(jac, r, w))
 
     def test_refused_when_inlier_hessian_is_rank_deficient(self, room_cloud):
         floor = room_cloud.subset(["floor"])
         p, nrm, r = self._matches(floor, 200, 20, np.full(200, 0.01))
-        assert huber_newton_step(p, nrm, np.ones(200), r, 0.05) is None
+        assert huber_newton_step(residual_jacobian(p, nrm), r, np.ones(200), 0.05) is None
 
     def test_refused_outside_trust_region(self, room_cloud):
         # a few inliers carry the Hessian, many outliers pull on the gradient
         offsets = np.where(np.arange(600) < 60, 0.0, 0.3)
         p, nrm, r = self._matches(room_cloud, 600, 21, offsets)
-        assert huber_newton_step(p, nrm, np.ones(600), r, 0.01) is None
+        assert huber_newton_step(residual_jacobian(p, nrm), r, np.ones(600), 0.01) is None
 
 
 class TestBudget:

@@ -430,6 +430,12 @@ class TestPrism:
         np.testing.assert_allclose(prism_position(pose, prism), [0, 1, 0], atol=1e-12)
 
 
+@pytest.mark.parametrize("hfov_deg", [0.0, 180.0, -10.0, 200.0])
+def test_camera_rig_refuses_a_degenerate_field_of_view(hfov_deg):
+    with pytest.raises(ValueError, match="hfov_deg must lie strictly between 0 and 180"):
+        default_camera_rig(hfov_deg=hfov_deg)
+
+
 def facing_camera(width=64, height=48) -> CameraSpec:
     (cam,) = default_camera_rig(count=1, width=width, height=height, mount=(0, 0, 0))
     return cam
