@@ -269,6 +269,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_scans < 1 or self.n_executions < 1:
             raise ValueError("n_scans and n_executions must be >= 1")
+        if not 0 <= self.delta <= 1:  # densities lie in [0, 1]
+            raise ValueError("delta: expected a number in [0, 1]")
         if not self.delta_prime >= 0:  # 1 + delta_prime normalizes the linear weights
             raise ValueError("delta_prime: expected a number >= 0")
 

@@ -98,8 +98,11 @@ def weights_binary(scan: Scan, delta: float = 0.5) -> Scan:
     """Hard segmentation: keep points with density >= delta at weight 1.
 
     Points below the threshold are dropped from the scan entirely, so the
-    output weight array is all ones.
+    output weight array is all ones. Densities lie in [0, 1], and so must
+    delta.
     """
+    if not 0 <= delta <= 1:
+        raise FusionError("delta must lie in [0, 1]")
     if scan.densities is None:
         raise MissingDensitiesError("binary weighting needs fused densities")
     keep = scan.densities >= delta

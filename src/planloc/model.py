@@ -216,13 +216,17 @@ class MapCloud:
                 raise ValueError("map cloud normals must be unit length")
             if idx.min() < 0 or idx.max() >= len(ids):
                 raise ValueError("map cloud surface_index must index its surface ids")
-        # read-only views, no copies: a MapIndex's kd-tree shares `points`
-        for name, array in (("points", pts), ("normals", normals),
-                            ("surface_index", idx.astype(np.int32, copy=False))):
+        self._hold(pts, normals, idx.astype(np.int32, copy=False), ids)
+
+    def _hold(self, points, normals, surface_index, surface_ids):
+        """Hold the arrays as read-only views, not copies: a MapIndex's
+        kd-tree shares `points`."""
+        for name, array in (("points", points), ("normals", normals),
+                            ("surface_index", surface_index)):
             view = array.view()
             view.flags.writeable = False
             object.__setattr__(self, name, view)
-        object.__setattr__(self, "surface_ids", ids)
+        object.__setattr__(self, "surface_ids", surface_ids)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -234,12 +238,10 @@ class MapCloud:
             raise UnknownSurfaceIdError(f"unknown surface ids {sorted(unknown)}")
         keep = np.array([sid in wanted for sid in self.surface_ids], dtype=bool)
         mask = keep[self.surface_index]
-        return MapCloud(
-            self.points[mask],
-            self.normals[mask],
-            self.surface_index[mask],
-            self.surface_ids,
-        )
+        # rows of a checked cloud need no second check
+        sub = object.__new__(MapCloud)
+        sub._hold(self.points[mask], self.normals[mask], self.surface_index[mask], self.surface_ids)
+        return sub
 
 
 # ---------------------------------------------------------------------------

@@ -270,43 +270,42 @@ def _gather_scene(scene: Scene, time_s: float):
     return np.concatenate(tris), np.concatenate(codes), np.array(labels, dtype=object)
 
 
-def _raycast(origin: np.ndarray, dirs: np.ndarray, triangles: np.ndarray):
-    """Nearest-hit distances of rays from one origin against a triangle soup.
+@dataclass(frozen=True)
+class _RayGroups:
+    """Rays of one origin in groups for `_raycast`'s cull (`_ray_groups`):
+    `rays` (R,) the indices of the nonzero rays in group order, `starts`
+    (G,) where each group starts in `rays`, and per group the four corner
+    rays `corner` (G, 4, 3) and the four inward side normals `side`
+    (G, 4, 3) of the cone that holds its rays."""
 
-    Returns (t (K,), tri_index (K,)); t is inf and tri_index -1 on miss; of
-    equally near hits the lowest triangle index wins.
+    rays: np.ndarray
+    starts: np.ndarray
+    corner: np.ndarray
+    side: np.ndarray
+
+    def subset(self, mask: np.ndarray) -> "_RayGroups":
+        """The rays where `mask` (K,) holds, each in its group under the same
+        cone, which still holds it; groups left without rays are dropped."""
+        keep = mask[self.rays]
+        sizes = np.diff([*self.starts, len(self.rays)])
+        group = np.repeat(np.arange(len(self.starts)), sizes)[keep]
+        used, starts = np.unique(group, return_index=True)
+        return _RayGroups(self.rays[keep], starts, self.corner[used], self.side[used])
+
+
+def _ray_groups(dirs: np.ndarray) -> _RayGroups:
+    """Group rays (K, 3) for `_raycast`; the groups depend on the directions
+    alone, so one grouping serves every cast from a fixed origin.
 
     Each ray belongs to the cube face of its largest-magnitude component
     (depth w along it, lateral components b and c), and rays are grouped by
     square cells of their face's plane w = 1 (`_cell_groups`), so a group's
     rays lie in the cone from the origin over the box of their (b, c) / w.
-    A group tests (Moller-Trumbore) every triangle bar those that one of five
-    planes through the origin parts from its cone by more than the triangle's
-    hit margin m (`_HIT_MARGIN_*`): a side plane of the cone, with all three
-    vertices outside it, or the plane parallel to the triangle's, with every
-    corner ray of the cone on its other side. The triangle and the cone are
-    the convex hulls of those vertices and rays, so such a plane parts them
-    by more than m; a hit the kernel reports lies in the cone, as its ray
-    does, and within m of its triangle, so the cull drops no hit and results
-    equal testing every pair, bit for bit. Side normals and corner rays are
-    exact in the box's bounds, so a box of zero width needs no care.
-    Rounding in the margins is a few ulps of the coordinates about the
-    origin, ~1e-11 m within 1e4 m and ~1e-10 m within 1e5 m, well below the
-    1e-9 m floor of m. Rays of zero length hit nothing and are not tested.
+    Side normals and corner rays are exact in the box's bounds, so a box of
+    zero width needs no care. Rays of zero length belong to no group.
     """
-    best_t = np.full(len(dirs), np.inf)
-    best_tri = np.full(len(dirs), -1, dtype=np.int64)
     mag = np.abs(dirs)
     rays = np.flatnonzero(mag.max(axis=1) > 0)
-    if len(triangles) == 0 or len(rays) == 0:
-        return best_t, best_tri
-    v0 = triangles[:, 0]
-    e1 = triangles[:, 1] - v0
-    e2 = triangles[:, 2] - v0
-    tvec = origin - v0  # (M, 3)
-    qvec = np.cross(tvec, e1)  # (M, 3)
-    t_num = np.einsum("mj,mj->m", e2, qvec)
-
     major = np.argmax(mag[rays], axis=1)
     depth = np.take_along_axis(dirs[rays], major[:, None], axis=1)
     face = 2 * major + (depth[:, 0] < 0)
@@ -327,7 +326,50 @@ def _raycast(origin: np.ndarray, dirs: np.ndarray, triangles: np.ndarray):
     side[groups, sides, lateral] = [[1, 0], [-1, 0], [0, 1], [0, -1]]
     bound = np.stack([-lo[:, 0], hi[:, 0], -lo[:, 1], hi[:, 1]], axis=1)
     side[groups, sides, axis] = sign * bound[..., None]
+    return _RayGroups(rays.astype(np.int32), starts, corner, side)
 
+
+def _raycast(
+    origin: np.ndarray,
+    dirs: np.ndarray,
+    triangles: np.ndarray,
+    groups: _RayGroups | None = None,
+):
+    """Nearest-hit distances of rays from one origin against a triangle soup,
+    cast over `groups` (`_ray_groups(dirs)` when None): rays in no group miss.
+
+    Returns (t (K,), tri_index (K,)); t is inf and tri_index -1 on miss; of
+    equally near hits the lowest triangle index wins.
+
+    A group tests (Moller-Trumbore) every triangle bar those that one of five
+    planes through the origin parts from its cone by more than the triangle's
+    hit margin m (`_HIT_MARGIN_*`): a side plane of the cone, with all three
+    vertices outside it, or the plane parallel to the triangle's, with every
+    corner ray of the cone on its other side. The triangle and the cone are
+    the convex hulls of those vertices and rays, so such a plane parts them
+    by more than m; a hit the kernel reports lies in the cone, as its ray
+    does, and within m of its triangle, so the cull drops no hit and results
+    equal testing every pair, bit for bit. Rounding in the margins is a few
+    ulps of the coordinates about the origin, ~1e-11 m within 1e4 m and
+    ~1e-10 m within 1e5 m, well below the 1e-9 m floor of m.
+    """
+    best_t = np.full(len(dirs), np.inf)
+    best_tri = np.full(len(dirs), -1, dtype=np.int64)
+    if len(triangles) == 0:
+        return best_t, best_tri
+    if groups is None:
+        groups = _ray_groups(dirs)
+    rays, starts, corner, side = groups.rays, groups.starts, groups.corner, groups.side
+    if len(starts) == 0:
+        return best_t, best_tri
+    v0 = triangles[:, 0]
+    e1 = triangles[:, 1] - v0
+    e2 = triangles[:, 2] - v0
+    tvec = origin - v0  # (M, 3)
+    qvec = np.cross(tvec, e1)  # (M, 3)
+    t_num = np.einsum("mj,mj->m", e2, qvec)
+
+    n = len(starts)
     rel = triangles - origin  # (M, 3, 3) vertices about the origin
     edge = np.linalg.norm(triangles - np.roll(triangles, 1, axis=1), axis=2).max(axis=1)
     margin = (_HIT_MARGIN_REL * edge + _HIT_MARGIN_M)[:, None]
@@ -392,19 +434,22 @@ def raycast_scan(
     spec: LidarSpec,
     time_s: float = 0.0,
     seed=0,
+    *,
+    _cast=None,
 ) -> Scan:
     """Simulate one LiDAR sweep from `pose` (sensor frame == body frame).
 
     One ray per (ring, azimuth); the nearest triangle hit within max range
     yields a point, perturbed along the ray by Gaussian range noise. Misses
     are dropped. Class labels come from the hit geometry and are never
-    affected by the noise; actors are evaluated at `time_s`.
+    affected by the noise; actors are evaluated at `time_s`. `_cast` stands
+    in for `_raycast` within a stationary sequence (`_StationaryCast`).
     """
     rng = np.random.default_rng(seed)
     tris, codes, _ = _gather_scene(scene, time_s)
     dirs_sensor = spec.ray_directions()
     dirs_world = dirs_sensor @ pose.rotation.T
-    t, tri = _raycast(pose.translation, dirs_world, tris)
+    t, tri = (_raycast if _cast is None else _cast)(pose.translation, dirs_world, tris)
     hit = np.isfinite(t) & (t <= spec.max_range_m)
     ranges = t[hit]
     if spec.range_noise_m > 0:
@@ -422,13 +467,16 @@ def render_density_image(
     oracle: DensityOracleParams,
     time_s: float = 0.0,
     seed=0,
+    *,
+    _cast=None,
 ) -> DensityImage:
     """Render the density-score image a structure/clutter scorer would emit.
 
     `camera_pose` is the world pose of the camera (world <- camera). Primary
     rays classify each pixel; scores follow the oracle distributions, with a
     `corruption_rate` fraction of (optionally targeted) building pixels
-    resampled from the foreground distribution.
+    resampled from the foreground distribution. `_cast` is as in
+    `raycast_scan`.
     """
     rng = np.random.default_rng(seed)
     tris, codes, labels = _gather_scene(scene, time_s)
@@ -440,7 +488,7 @@ def render_density_image(
     inv_norm = 1.0 / np.linalg.norm(dirs_cam, axis=1)
     dirs_cam_unit = dirs_cam * inv_norm[:, None]
     dirs_world = dirs_cam_unit @ camera_pose.rotation.T
-    t, tri = _raycast(camera_pose.translation, dirs_world, tris)
+    t, tri = (_raycast if _cast is None else _cast)(camera_pose.translation, dirs_world, tris)
     hit = np.isfinite(t)
     pixel_code = np.full(len(t), -1, dtype=np.int8)
     pixel_code[hit] = codes[tri[hit]]
@@ -475,6 +523,42 @@ def prism_position(robot_pose: RigidTransform, prism: PrismSpec) -> np.ndarray:
     return robot_pose.apply(prism.offset)
 
 
+class _StationaryCast:
+    """`_raycast` for one sensor that stays put over a sequence, where only
+    the last `_gather_scene` triangles, the actors', move.
+
+    The first call casts every triangle over the rays' grouping, as
+    `_raycast` does, and keeps the grouping and the static hits: its own
+    hits, with the rays that hit an actor cast again against the static
+    triangles alone. A later call casts only the actors over the kept
+    grouping; an actor hit replaces the static hit where it is strictly
+    nearer. The static triangles come first, so a tie keeps the static hit,
+    as `_raycast`'s lowest-index rule does, and every call returns what
+    `_raycast` returns for its triangles, bit for bit. The origin and the
+    directions must be the same on every call.
+    """
+
+    def __init__(self, n_static: int):
+        self.n_static = n_static
+        self.groups = self.t = self.tri = None
+
+    def __call__(self, origin: np.ndarray, dirs: np.ndarray, triangles: np.ndarray):
+        n = self.n_static
+        if self.groups is not None:
+            t, tri = _raycast(origin, dirs, triangles[n:], self.groups)
+            nearer = t < self.t
+            return np.where(nearer, t, self.t), np.where(nearer, tri + n, self.tri)
+        self.groups = _ray_groups(dirs)
+        t, tri = _raycast(origin, dirs, triangles, self.groups)
+        self.t, self.tri = t, tri.astype(np.int32)
+        moved = tri >= n
+        if moved.any():
+            static_t, static_tri = _raycast(origin, dirs, triangles[:n], self.groups.subset(moved))
+            self.t = np.where(moved, static_t, t)
+            self.tri[moved] = static_tri[moved]
+        return t, tri
+
+
 def iter_trial_sequence(
     scene: Scene,
     robot_pose: RigidTransform,
@@ -492,19 +576,30 @@ def iter_trial_sequence(
     Trial i uses its own generator seeded with `seed + i` (splittable across
     workers); actors advance with the scan period. Bit-identical for a fixed
     seed.
+
+    Each frame calls `raycast_scan` and `render_density_image` once per
+    sensor, and its frame equals theirs called alone at its time and
+    generator, bit for bit. Only the actors move, so a sequence of more than
+    one frame casts the static scene once per sensor, on the first frame,
+    and later frames cast only the actors (`_StationaryCast`).
     """
     if n_scans < 1:
         raise ValueError("n_scans must be >= 1")
     gt_prism = prism_position(robot_pose, prism)
+    n_static = sum(len(s.triangles) for s in (*scene.as_built.surfaces, *scene.clutter))
+    casts = [
+        _StationaryCast(n_static) if n_scans > 1 else None for _ in range(1 + len(cameras))
+    ]
     for i in range(n_scans):
         rng = np.random.default_rng(seed + i)
         time_s = i * period_s
-        scan = raycast_scan(scene, robot_pose, lidar, time_s=time_s, seed=rng)
+        scan = raycast_scan(scene, robot_pose, lidar, time_s=time_s, seed=rng, _cast=casts[0])
         images = tuple(
             render_density_image(
-                scene, compose(robot_pose, cam.extrinsic), cam, oracle, time_s=time_s, seed=rng
+                scene, compose(robot_pose, cam.extrinsic), cam, oracle, time_s=time_s, seed=rng,
+                _cast=cast,
             )
-            for cam in cameras
+            for cam, cast in zip(cameras, casts[1:])
         )
         yield TrialFrame(
             index=i, scan=scan, images=images, pose=robot_pose, prism=gt_prism

@@ -129,7 +129,7 @@ def test_c1_weighting_equations():
         Scan(points=np.zeros((3, 3)), densities=np.array([0.3, 0.5, 0.9])), delta=0.0
     )
     none_kept = pl.weights_binary(
-        Scan(points=np.zeros((3, 3)), densities=np.array([0.3, 0.5, 1.0])), delta=1.01
+        Scan(points=np.zeros((3, 3)), densities=np.array([0.3, 0.5, 0.99])), delta=1.0
     )
     ok &= len(all_kept) == 3 and len(none_kept) == 0
 

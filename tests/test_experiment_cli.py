@@ -222,6 +222,16 @@ class TestConfig:
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("delta", [-0.5, 1.5])
+    @pytest.mark.parametrize("source", ["config", "override"])
+    def test_delta_outside_unit_interval_exits_two(self, tmp_path, capsys, source, delta):
+        path = tiny_config(tmp_path, fusion={"delta": delta if source == "config" else 0.5})
+        flags = ["--delta", str(delta)] if source == "override" else []
+        assert cli.main(["run-matrix", "--config", str(path), *flags]) == 2
+        message = "delta: expected a number in [0, 1]"
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("hfov_deg", [0, 180])
     def test_degenerate_field_of_view_exits_two(self, tmp_path, capsys, hfov_deg):
         path = tiny_config(tmp_path, cameras={"hfov_deg": hfov_deg})

@@ -112,9 +112,16 @@ class TestBinaryWeights:
         np.testing.assert_array_equal(out.weights, np.ones(3))
 
     def test_impossible_threshold_empties_scan(self):
-        scan = Scan(points=np.zeros((3, 3)), densities=np.array([0.3, 0.5, 1.0]))
-        out = weights_binary(scan, delta=1.01)
+        scan = Scan(points=np.zeros((3, 3)), densities=np.array([0.3, 0.5, 0.99]))
+        out = weights_binary(scan, delta=1.0)
         assert len(out) == 0
+
+    @pytest.mark.parametrize("delta", [-0.1, 1.01, 1.5, np.nan])
+    def test_threshold_outside_unit_interval_rejected(self, delta):
+        # densities lie in [0, 1]: a threshold above 1 would drop every point
+        scan = Scan(points=np.zeros((3, 3)), densities=np.array([0.3, 0.5, 1.0]))
+        with pytest.raises(FusionError, match=r"delta must lie in \[0, 1\]"):
+            weights_binary(scan, delta)
 
     def test_missing_densities(self):
         with pytest.raises(MissingDensitiesError):

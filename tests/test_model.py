@@ -339,6 +339,16 @@ class TestMapCloud:
         np.testing.assert_array_equal(sub.surface_index, cloud.surface_index[rows])
         assert sub.surface_ids == cloud.surface_ids
 
+    def test_subset_checks_no_row_again(self, room_model, monkeypatch):
+        """A subset's rows passed its parent's checks; it runs none."""
+        cloud = sample_model(room_model, 20.0, seed=4)
+
+        def checked(self):
+            raise AssertionError("subset checked its rows again")
+
+        monkeypatch.setattr(MapCloud, "__post_init__", checked)
+        assert len(cloud.subset(["floor"])) > 0
+
     def test_arrays_are_read_only_views(self, room_model):
         """A MapIndex's kd-tree shares `points`, so no write may reach it;
         the cloud holds views of its arrays, not copies."""

@@ -7,7 +7,7 @@ import pytest
 from planloc import sensor_sim
 from planloc.geometry import RigidTransform, compose
 from planloc.model import (
-    BuildingModel, Floorplan2D, WallSegment, extrude_floorplan, make_box_surface
+    BuildingModel, Floorplan2D, Surface, WallSegment, extrude_floorplan, make_box_surface
 )
 from planloc.sensor_sim import (
     Actor,
@@ -45,9 +45,15 @@ COARSE_LIDAR = LidarSpec(
 )
 
 
-def all_pairs_raycast(origin, dirs, triangles, chunk=2048):
+def all_pairs_raycast(origin, dirs, triangles, groups=None, chunk=2048):
     """Reference for `_raycast`: every ray against every triangle,
-    Moller-Trumbore vectorized over ray chunks x all triangles."""
+    Moller-Trumbore vectorized over ray chunks x all triangles; with
+    `groups`, rays in none of them miss."""
+    if groups is not None:
+        t, tri = all_pairs_raycast(origin, dirs, triangles, chunk=chunk)
+        grouped = np.zeros(len(dirs), dtype=bool)
+        grouped[groups.rays] = True
+        return np.where(grouped, t, np.inf), np.where(grouped, tri, -1)
     k = len(dirs)
     best_t = np.full(k, np.inf)
     best_tri = np.full(k, -1, dtype=np.int64)
@@ -353,6 +359,17 @@ class TestRaycast:
         assert t.tobytes() == ref_t.tobytes()
         np.testing.assert_array_equal(tri, ref_tri)
 
+    @pytest.mark.parametrize("case", ["soup0", "lidar_grid_in_soup", "duplicated_triangles"])
+    def test_cast_over_part_of_a_grouping_matches_all_pairs(self, case):
+        """The rays a `_RayGroups.subset` keeps hit as against every pair,
+        under their groups' cones; the rays it drops miss."""
+        origin, dirs, triangles = RAYCAST_CASES[case]
+        keep = np.random.default_rng(5).random(len(dirs)) < 0.3
+        t, tri = _raycast(origin, dirs, triangles, sensor_sim._ray_groups(dirs).subset(keep))
+        ref_t, ref_tri = all_pairs_raycast(origin, dirs, triangles)
+        assert t.tobytes() == np.where(keep, ref_t, np.inf).tobytes()
+        np.testing.assert_array_equal(tri, np.where(keep, ref_tri, -1))
+
     def test_cell_groups_split_rays_by_face(self):
         """Each ray in one group, each group on one face and within `_CHUNK`:
         50 rays a face, fewer than `_GROUP_RAYS`, and one cell over `_CHUNK`."""
@@ -369,7 +386,9 @@ class TestRaycast:
     def test_scan_and_images_match_all_pairs(self, monkeypatch):
         """The public simulators give the same bytes with the all-pairs loop,
         in a 2 x 2 grid of rooms with clutter and a moving actor, seen by the
-        default LiDAR and camera rig at coarser steps."""
+        default LiDAR and camera rig at coarser steps: called alone, and over
+        a 4-frame sequence, whose later frames cast the actor over the first
+        frame's groupings."""
         lines = [0.0, 4.0, 8.0]
         walls = [WallSegment([x, 0], [x, 8], 0.2, f"x{x:g}") for x in lines] + [
             WallSegment([0, y], [8, y], 0.2, f"y{y:g}") for y in lines
@@ -384,20 +403,25 @@ class TestRaycast:
 
         def simulate():
             scan = raycast_scan(scene, pose, lidar, time_s=0.6, seed=3)
-            return scan, [
+            images = [
                 render_density_image(scene, compose(pose, cam.extrinsic), cam, oracle, 0.6, seed=4)
                 for cam in cameras
             ]
+            frames = generate_trial_sequence(
+                scene, pose, 4, lidar, cameras, PrismSpec(), oracle, seed=5, period_s=0.6
+            )
+            return [(scan, images), *((f.scan, f.images) for f in frames)]
 
-        scan, images = simulate()
+        got = simulate()
         monkeypatch.setattr(sensor_sim, "_raycast", all_pairs_raycast)
-        ref_scan, ref_images = simulate()
-        assert set(scan.classes) == {"building", "clutter", "actor"}
-        assert scan.points.tobytes() == ref_scan.points.tobytes()
-        np.testing.assert_array_equal(scan.classes, ref_scan.classes)
-        for image, ref in zip(images, ref_images):
-            assert image.values.tobytes() == ref.values.tobytes()
-            assert image.depth.tobytes() == ref.depth.tobytes()
+        want = simulate()
+        for (scan, images), (ref_scan, ref_images) in zip(got, want, strict=True):
+            assert set(scan.classes) == {"building", "clutter", "actor"}
+            assert scan.points.tobytes() == ref_scan.points.tobytes()
+            np.testing.assert_array_equal(scan.classes, ref_scan.classes)
+            for image, ref in zip(images, ref_images, strict=True):
+                assert image.values.tobytes() == ref.values.tobytes()
+                assert image.depth.tobytes() == ref.depth.tobytes()
 
     def test_lowest_index_wins_a_tie(self):
         origin, dirs, triangles = RAYCAST_CASES["duplicated_triangles"]
@@ -499,6 +523,135 @@ class TestDensityRender:
         # principal pixel looks straight at the wall 2 m ahead
         cy, cx = int(round(cam.cy)), int(round(cam.cx))
         assert img.depth[cy, cx] == pytest.approx(2.0, abs=1e-6)
+
+
+def sequence_scenes() -> dict[str, Scene]:
+    """A 6 m x 4 m room with a crate, seen from SEQUENCE_POSE, and its actors:
+    - a walker that crosses in front of the east wall and a climber that
+      rises out of every sensor's view;
+    - a still poster made of the east wall's own triangles, so that every
+      ray hitting it hits the wall equally near;
+    - none."""
+    walls = [
+        WallSegment([0, 0], [6, 0], 0.2, "south"), WallSegment([6, 0], [6, 4], 0.2, "east"),
+        WallSegment([6, 4], [0, 4], 0.2, "north"), WallSegment([0, 4], [0, 0], 0.2, "west"),
+    ]
+    plan = Floorplan2D(tuple(walls), 2.5, np.array([[0, 0], [6, 0], [6, 4], [0, 4]], float))
+    building = extrude_floorplan(plan)
+    crate = make_box_surface("crate", [1.0, 3.0, 0.4], [0.6, 0.5, 0.8], yaw_rad=0.3)
+    walker = Actor(make_box_surface("walker", [4.5, 0.8, 0.9], [0.4, 0.4, 1.8]), (0.0, 1.0, 0.0))
+    climber = Actor(make_box_surface("climber", [3.0, 3.0, 0.9], [0.4, 0.4, 1.8]), (0.0, 0.0, 4.0))
+    poster = Actor(Surface("poster", building.get("east").triangles), (0.0, 0.0, 0.0))
+    return {
+        name: Scene(as_built=building, clutter=(crate,), actors=actors)
+        for name, actors in [
+            ("crossing_and_leaving", (walker, climber)),
+            ("actor_face_in_wall", (poster,)),
+            ("no_actors", ()),
+        ]
+    }
+
+
+SEQUENCE_SCENES = sequence_scenes()
+SEQUENCE_POSE = RigidTransform.from_rotvec([0.0, 0.0, 0.3], [2.0, 2.0, 0.45])
+SEQUENCE_RIG = (LidarSpec(azimuth_step_deg=3.0), default_camera_rig(width=40, height=30))
+
+
+def sequence(scene: Scene, n_scans: int, seed: int = 8):
+    lidar, cameras = SEQUENCE_RIG
+    return generate_trial_sequence(
+        scene, SEQUENCE_POSE, n_scans, lidar, cameras, PrismSpec(), DensityOracleParams(),
+        seed=seed, period_s=0.5,
+    )
+
+
+def triangle_counts(scene: Scene) -> tuple[int, int]:
+    """(static, actor) triangles of `scene`."""
+    tris, codes, _ = sensor_sim._gather_scene(scene, 0.0)
+    return int((codes < 2).sum()), int((codes == 2).sum())
+
+
+class TestStationaryCast:
+    """A sequence casts the static scene on its first frame only, with the
+    frames of sensors cast one at a time."""
+
+    @pytest.mark.parametrize("name", list(SEQUENCE_SCENES))
+    def test_sequence_equals_its_frames_cast_one_at_a_time(self, name):
+        scene = SEQUENCE_SCENES[name]
+        (lidar, cameras), oracle = SEQUENCE_RIG, DensityOracleParams()
+        frames = sequence(scene, 4, seed=8)
+        for i, frame in enumerate(frames):
+            rng = np.random.default_rng(8 + i)
+            scan = raycast_scan(scene, SEQUENCE_POSE, lidar, i * 0.5, rng)
+            images = [
+                render_density_image(
+                    scene, compose(SEQUENCE_POSE, cam.extrinsic), cam, oracle, i * 0.5, rng
+                )
+                for cam in cameras
+            ]
+            assert frame.scan.points.tobytes() == scan.points.tobytes()
+            np.testing.assert_array_equal(frame.scan.classes, scan.classes)
+            for got, want in zip(frame.images, images, strict=True):
+                assert got.values.tobytes() == want.values.tobytes()
+                assert got.depth.tobytes() == want.depth.tobytes()
+        actor_points = [int((f.scan.classes == "actor").sum()) for f in frames]
+        if name == "crossing_and_leaving":  # both actors seen first, the walker alone last
+            assert actor_points[0] > actor_points[-1] > 0
+        else:
+            assert actor_points == [0] * 4
+
+    def test_actor_face_in_a_wall_ties_with_the_wall(self):
+        """The poster's hits tie with the wall's, bit for bit, so the
+        sequence must keep the wall's hit on a tie."""
+        scene = SEQUENCE_SCENES["actor_face_in_wall"]
+        tris, codes, _ = sensor_sim._gather_scene(scene, 0.0)
+        dirs = SEQUENCE_RIG[0].ray_directions() @ SEQUENCE_POSE.rotation.T
+        static_t, _ = _raycast(SEQUENCE_POSE.translation, dirs, tris[codes < 2])
+        actor_t, _ = _raycast(SEQUENCE_POSE.translation, dirs, tris[codes == 2])
+        assert (np.isfinite(actor_t) & (actor_t == static_t)).sum() > 100
+
+    def test_later_frames_cast_only_the_actors(self, monkeypatch):
+        """Frame 0 casts every triangle, then each sensor's actor-hit rays
+        against the static ones; later frames cast only the actors, over all
+        of a sensor's rays."""
+        scene = SEQUENCE_SCENES["crossing_and_leaving"]
+        n_static, n_actor = triangle_counts(scene)
+        calls, cast = [], sensor_sim._raycast
+
+        def counted(origin, dirs, triangles, groups):
+            t, tri = cast(origin, dirs, triangles, groups)
+            calls.append((len(triangles), len(groups.rays), int((tri >= n_static).sum())))
+            return t, tri
+
+        monkeypatch.setattr(sensor_sim, "_raycast", counted)
+        sequence(scene, 4)
+        calls = iter(calls)
+        rays, recasts = [], 0
+        for _ in range(4):  # frame 0: the LiDAR and three cameras
+            tris, grouped, on_actors = next(calls)
+            assert tris == n_static + n_actor
+            rays.append(grouped)
+            if on_actors:
+                assert next(calls)[:2] == (n_static, on_actors)
+                recasts += 1
+        assert recasts > 0
+        assert rays == [len(SEQUENCE_RIG[0].ray_directions())] + [40 * 30] * 3
+        assert [c[:2] for c in calls] == [(n_actor, k) for k in rays] * 3
+
+    def test_one_frame_sequence_casts_as_a_lone_call(self, monkeypatch):
+        """One frame: one cast per sensor of every triangle, grouped inside
+        `_raycast` as a lone call does, and no cast state is built."""
+        scene = SEQUENCE_SCENES["crossing_and_leaving"]
+        calls, cast = [], sensor_sim._raycast
+
+        def counted(*args, **kwargs):
+            calls.append((len(args), kwargs, len(args[2])))
+            return cast(*args, **kwargs)
+
+        monkeypatch.setattr(sensor_sim, "_raycast", counted)
+        monkeypatch.setattr(sensor_sim, "_StationaryCast", None)
+        sequence(scene, 1)
+        assert calls == [(3, {}, sum(triangle_counts(scene)))] * 4
 
 
 class TestTrialSequence:
