@@ -1,6 +1,9 @@
 """Synthetic sensing: LiDAR raycasting, density-image rendering, prism
 ground truth, and stationary trial sequences over a scene with clutter and
 moving actors.
+
+Every sensor cast is its static hits (building, clutter) merged with its
+actor hits (`_Cast`); a sequence casts each sensor's static scene once.
 """
 
 from __future__ import annotations
@@ -205,6 +208,8 @@ class DensityImage:
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 2:
             raise ValueError("density image must be 2-D")
+        if vals.size == 0:
+            raise ValueError(f"density image is empty ({vals.shape[1]} x {vals.shape[0]} pixels)")
         if not np.all(np.isfinite(vals)) or vals.min() < 0 or vals.max() > 1:
             raise ValueError("density values must be finite and within [0, 1]")
         object.__setattr__(self, "values", vals)
@@ -252,24 +257,6 @@ class TrialFrame:
 # ---------------------------------------------------------------------------
 
 
-def _gather_scene(scene: Scene, time_s: float):
-    """Flatten scene geometry at a time instant.
-
-    Returns (triangles (M,3,3), class_code (M,), surface_label (M,) object),
-    the class code indexing POINT_CLASSES.
-    """
-    tris, codes, labels = [], [], []
-    moved = [actor.at(time_s) for actor in scene.actors]
-    for code, surfaces in enumerate((scene.as_built.surfaces, scene.clutter, moved)):
-        for surface in surfaces:
-            tris.append(surface.triangles)
-            codes.append(np.full(len(surface.triangles), code, dtype=np.int8))
-            labels.extend([surface.id] * len(surface.triangles))
-    if not tris:
-        return np.zeros((0, 3, 3)), np.zeros(0, dtype=np.int8), np.array([], dtype=object)
-    return np.concatenate(tris), np.concatenate(codes), np.array(labels, dtype=object)
-
-
 @dataclass(frozen=True)
 class _RayGroups:
     """Rays of one origin in groups for `_raycast`'s cull (`_ray_groups`):
@@ -282,15 +269,6 @@ class _RayGroups:
     starts: np.ndarray
     corner: np.ndarray
     side: np.ndarray
-
-    def subset(self, mask: np.ndarray) -> "_RayGroups":
-        """The rays where `mask` (K,) holds, each in its group under the same
-        cone, which still holds it; groups left without rays are dropped."""
-        keep = mask[self.rays]
-        sizes = np.diff([*self.starts, len(self.rays)])
-        group = np.repeat(np.arange(len(self.starts)), sizes)[keep]
-        used, starts = np.unique(group, return_index=True)
-        return _RayGroups(self.rays[keep], starts, self.corner[used], self.side[used])
 
 
 def _ray_groups(dirs: np.ndarray) -> _RayGroups:
@@ -329,14 +307,9 @@ def _ray_groups(dirs: np.ndarray) -> _RayGroups:
     return _RayGroups(rays.astype(np.int32), starts, corner, side)
 
 
-def _raycast(
-    origin: np.ndarray,
-    dirs: np.ndarray,
-    triangles: np.ndarray,
-    groups: _RayGroups | None = None,
-):
+def _raycast(origin: np.ndarray, dirs: np.ndarray, triangles: np.ndarray, groups: _RayGroups):
     """Nearest-hit distances of rays from one origin against a triangle soup,
-    cast over `groups` (`_ray_groups(dirs)` when None): rays in no group miss.
+    cast over `groups` (`_ray_groups(dirs)`): rays in no group miss.
 
     Returns (t (K,), tri_index (K,)); t is inf and tri_index -1 on miss; of
     equally near hits the lowest triangle index wins.
@@ -357,8 +330,6 @@ def _raycast(
     best_tri = np.full(len(dirs), -1, dtype=np.int64)
     if len(triangles) == 0:
         return best_t, best_tri
-    if groups is None:
-        groups = _ray_groups(dirs)
     rays, starts, corner, side = groups.rays, groups.starts, groups.corner, groups.side
     if len(starts) == 0:
         return best_t, best_tri
@@ -381,11 +352,10 @@ def _raycast(
     at_corner = (normal @ corner.reshape(-1, 3).T).reshape(-1, n, 4)
     skip |= (at_corner >= 0).all(2) & (height.max(1) < -reach)[:, None]
     skip |= (at_corner <= 0).all(2) & (height.min(1) > reach)[:, None]
-    for tested, first, last in zip(~skip.T, starts, [*starts[1:], len(rays)]):
-        kept = np.flatnonzero(tested)
-        if len(kept) == 0:
-            continue
-        g = rays[first:last]
+    tested, ends = ~skip, [*starts[1:], len(rays)]
+    for j in np.flatnonzero(tested.any(axis=0)):  # the groups whose cull kept a triangle
+        kept = np.flatnonzero(tested[:, j])
+        g = rays[starts[j] : ends[j]]
         d = dirs[g]  # (C, 3)
         pvec = np.cross(d[:, None, :], e2[None, kept, :])  # (C, m, 3)
         det = np.einsum("mj,cmj->cm", e1[kept], pvec)
@@ -428,6 +398,59 @@ def _cell_groups(face: np.ndarray, coords: np.ndarray):
     return order, np.concatenate(starts)
 
 
+class _SceneTriangles:
+    """A scene's triangles for `_Cast`, static first: the building's and the
+    clutter's, gathered once, then the actors', moved once per time and
+    shared by every cast at that time. `codes` (indexing POINT_CLASSES) and
+    `labels` (surface ids) hold one entry per triangle in that order."""
+
+    def __init__(self, scene: Scene):
+        kinds = (scene.as_built.surfaces, scene.clutter, [a.surface for a in scene.actors])
+        each = [(code, s) for code, kind in enumerate(kinds) for s in kind for _ in s.triangles]
+        self.codes = np.array([code for code, _ in each], dtype=np.int8)
+        self.labels = np.array([s.id for _, s in each], dtype=object)
+        self.static = _stack([*kinds[0], *kinds[1]])
+        self.actors = scene.actors
+        self.time_s = self.moved = None
+
+    def actors_at(self, time_s: float) -> np.ndarray:
+        """The actors' triangles at `time_s`, moved when the time changes."""
+        if time_s != self.time_s:
+            self.time_s, self.moved = time_s, _stack([actor.at(time_s) for actor in self.actors])
+        return self.moved
+
+
+def _stack(surfaces) -> np.ndarray:
+    """The triangles (M, 3, 3) of `surfaces`, in order."""
+    return np.concatenate([np.zeros((0, 3, 3)), *(s.triangles for s in surfaces)])
+
+
+class _Cast:
+    """One sensor's casts from a fixed origin along fixed directions.
+
+    The first call groups the rays (`_ray_groups`) and casts the static
+    triangles; every call casts the actors at its time over that grouping,
+    and an actor hit replaces the static hit only where strictly nearer. The
+    static triangles come first in the index, so a tie keeps the static hit,
+    as `_raycast`'s lowest-index rule does, and a cast of some triangles gives
+    each ray-triangle pair the same bits as a cast of all: every call returns
+    what `_raycast` returns for all the scene's triangles at its time.
+    """
+
+    def __init__(self, triangles: _SceneTriangles):
+        self.triangles = triangles
+        self.groups = self.t = self.tri = None
+
+    def __call__(self, origin: np.ndarray, dirs: np.ndarray, time_s: float):
+        if self.groups is None:
+            self.groups = _ray_groups(dirs)
+            self.t, self.tri = _raycast(origin, dirs, self.triangles.static, self.groups)
+        n = len(self.triangles.static)
+        t, tri = _raycast(origin, dirs, self.triangles.actors_at(time_s), self.groups)
+        nearer = t < self.t
+        return np.where(nearer, t, self.t), np.where(nearer, tri + n, self.tri)
+
+
 def raycast_scan(
     scene: Scene,
     pose: RigidTransform,
@@ -442,14 +465,14 @@ def raycast_scan(
     One ray per (ring, azimuth); the nearest triangle hit within max range
     yields a point, perturbed along the ray by Gaussian range noise. Misses
     are dropped. Class labels come from the hit geometry and are never
-    affected by the noise; actors are evaluated at `time_s`. `_cast` stands
-    in for `_raycast` within a stationary sequence (`_StationaryCast`).
+    affected by the noise; actors are evaluated at `time_s`. The cast merges
+    static and actor hits (`_Cast`): a fresh one, or a sequence's `_cast`.
     """
     rng = np.random.default_rng(seed)
-    tris, codes, _ = _gather_scene(scene, time_s)
+    cast = _Cast(_SceneTriangles(scene)) if _cast is None else _cast
     dirs_sensor = spec.ray_directions()
     dirs_world = dirs_sensor @ pose.rotation.T
-    t, tri = (_raycast if _cast is None else _cast)(pose.translation, dirs_world, tris)
+    t, tri = cast(pose.translation, dirs_world, time_s)
     hit = np.isfinite(t) & (t <= spec.max_range_m)
     ranges = t[hit]
     if spec.range_noise_m > 0:
@@ -457,7 +480,8 @@ def raycast_scan(
     keep = (ranges > 0) & (ranges <= spec.max_range_m)
     hit_idx = np.flatnonzero(hit)[keep]
     points = dirs_sensor[hit_idx] * ranges[keep, None]
-    return Scan(points=points, classes=np.array(POINT_CLASSES)[codes[tri[hit_idx]]])
+    classes = np.array(POINT_CLASSES)[cast.triangles.codes[tri[hit_idx]]]
+    return Scan(points=points, classes=classes)
 
 
 def render_density_image(
@@ -475,11 +499,11 @@ def render_density_image(
     `camera_pose` is the world pose of the camera (world <- camera). Primary
     rays classify each pixel; scores follow the oracle distributions, with a
     `corruption_rate` fraction of (optionally targeted) building pixels
-    resampled from the foreground distribution. `_cast` is as in
-    `raycast_scan`.
+    resampled from the foreground distribution. The cast, and `_cast`, are
+    as in `raycast_scan`.
     """
     rng = np.random.default_rng(seed)
-    tris, codes, labels = _gather_scene(scene, time_s)
+    cast = _Cast(_SceneTriangles(scene)) if _cast is None else _cast
     w, h = spec.width, spec.height
     u, v = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
     dirs_cam = np.stack(
@@ -488,10 +512,10 @@ def render_density_image(
     inv_norm = 1.0 / np.linalg.norm(dirs_cam, axis=1)
     dirs_cam_unit = dirs_cam * inv_norm[:, None]
     dirs_world = dirs_cam_unit @ camera_pose.rotation.T
-    t, tri = (_raycast if _cast is None else _cast)(camera_pose.translation, dirs_world, tris)
+    t, tri = cast(camera_pose.translation, dirs_world, time_s)
     hit = np.isfinite(t)
     pixel_code = np.full(len(t), -1, dtype=np.int8)
-    pixel_code[hit] = codes[tri[hit]]
+    pixel_code[hit] = cast.triangles.codes[tri[hit]]
 
     values = np.full(len(t), oracle.mu_foreground)
     building = pixel_code == 0
@@ -505,7 +529,7 @@ def render_density_image(
     if oracle.corruption_rate > 0:
         eligible = building.copy()
         if oracle.corrupt_surface_ids is not None:
-            tri_targeted = np.isin(labels, list(oracle.corrupt_surface_ids))
+            tri_targeted = np.isin(cast.triangles.labels, list(oracle.corrupt_surface_ids))
             target = np.zeros(len(t), dtype=bool)
             target[hit] = tri_targeted[tri[hit]]
             eligible &= target
@@ -521,42 +545,6 @@ def render_density_image(
 def prism_position(robot_pose: RigidTransform, prism: PrismSpec) -> np.ndarray:
     """World position of the survey prism for a given robot pose."""
     return robot_pose.apply(prism.offset)
-
-
-class _StationaryCast:
-    """`_raycast` for one sensor that stays put over a sequence, where only
-    the last `_gather_scene` triangles, the actors', move.
-
-    The first call casts every triangle over the rays' grouping, as
-    `_raycast` does, and keeps the grouping and the static hits: its own
-    hits, with the rays that hit an actor cast again against the static
-    triangles alone. A later call casts only the actors over the kept
-    grouping; an actor hit replaces the static hit where it is strictly
-    nearer. The static triangles come first, so a tie keeps the static hit,
-    as `_raycast`'s lowest-index rule does, and every call returns what
-    `_raycast` returns for its triangles, bit for bit. The origin and the
-    directions must be the same on every call.
-    """
-
-    def __init__(self, n_static: int):
-        self.n_static = n_static
-        self.groups = self.t = self.tri = None
-
-    def __call__(self, origin: np.ndarray, dirs: np.ndarray, triangles: np.ndarray):
-        n = self.n_static
-        if self.groups is not None:
-            t, tri = _raycast(origin, dirs, triangles[n:], self.groups)
-            nearer = t < self.t
-            return np.where(nearer, t, self.t), np.where(nearer, tri + n, self.tri)
-        self.groups = _ray_groups(dirs)
-        t, tri = _raycast(origin, dirs, triangles, self.groups)
-        self.t, self.tri = t, tri.astype(np.int32)
-        moved = tri >= n
-        if moved.any():
-            static_t, static_tri = _raycast(origin, dirs, triangles[:n], self.groups.subset(moved))
-            self.t = np.where(moved, static_t, t)
-            self.tri[moved] = static_tri[moved]
-        return t, tri
 
 
 def iter_trial_sequence(
@@ -579,17 +567,15 @@ def iter_trial_sequence(
 
     Each frame calls `raycast_scan` and `render_density_image` once per
     sensor, and its frame equals theirs called alone at its time and
-    generator, bit for bit. Only the actors move, so a sequence of more than
-    one frame casts the static scene once per sensor, on the first frame,
-    and later frames cast only the actors (`_StationaryCast`).
+    generator, bit for bit. Only the actors move: the static scene is
+    gathered once and each sensor casts it once, on the first frame, while
+    every frame moves the actors once and each sensor casts them (`_Cast`).
     """
     if n_scans < 1:
         raise ValueError("n_scans must be >= 1")
     gt_prism = prism_position(robot_pose, prism)
-    n_static = sum(len(s.triangles) for s in (*scene.as_built.surfaces, *scene.clutter))
-    casts = [
-        _StationaryCast(n_static) if n_scans > 1 else None for _ in range(1 + len(cameras))
-    ]
+    triangles = _SceneTriangles(scene)
+    casts = [_Cast(triangles) for _ in range(1 + len(cameras))]
     for i in range(n_scans):
         rng = np.random.default_rng(seed + i)
         time_s = i * period_s
@@ -708,4 +694,7 @@ def read_density_pgm(path) -> DensityImage:
     if len(raw) < expected:
         raise ValueError(f"{path}: truncated PGM payload")
     pixels = np.frombuffer(raw[:expected], dtype=">u2").reshape(h, w)
-    return DensityImage(values=pixels.astype(np.float64) / 65535.0, depth=None)
+    try:
+        return DensityImage(values=pixels.astype(np.float64) / 65535.0, depth=None)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

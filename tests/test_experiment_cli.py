@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import inspect
+import io
 import json
 import re
 import subprocess
@@ -81,6 +83,19 @@ def tiny_config(tmp_path: Path, **extra) -> Path:
 
 
 def run_cli(*args):
+    """`planloc *args` run in-process by `cli.main`, with its exit code (2
+    where argparse exits) and what it wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as e:
+            code = e.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def run_entry_point(*args):
+    """`python -m planloc *args` in a subprocess, which covers the entry point."""
     return subprocess.run(
         [sys.executable, "-m", "planloc", *args], capture_output=True, text=True, env=src_env()
     )
@@ -351,7 +366,7 @@ class TestBuildScene:
             tmp_path,
             deviation=[{"surfaces": ["wall_c"], "translation": [0, -0.3, 0]}],
         )
-        proc = run_cli("build-scene", "--config", str(path))
+        proc = run_entry_point("build-scene", "--config", str(path))
         assert proc.returncode == 0, proc.stderr
         planned, built, refs = (
             obj_vertices(tmp_path / "out" / f"{name}.obj")
@@ -638,8 +653,8 @@ class TestRunMatrix:
 
     def test_deterministic_across_runs(self, tmp_path):
         path = tiny_config(tmp_path)
-        proc1 = run_cli("run-matrix", "--config", str(path), "--out", str(tmp_path / "a"))
-        proc2 = run_cli("run-matrix", "--config", str(path), "--out", str(tmp_path / "b"))
+        proc1 = run_entry_point("run-matrix", "--config", str(path), "--out", str(tmp_path / "a"))
+        proc2 = run_entry_point("run-matrix", "--config", str(path), "--out", str(tmp_path / "b"))
         assert proc1.returncode == 0, proc1.stderr
         assert proc2.returncode == 0, proc2.stderr
         a = (tmp_path / "a" / "report.csv").read_bytes()
@@ -900,7 +915,7 @@ class TestLocalizeOnce:
         cfg_path = tiny_config(tmp_path)
         cfg = load_config(cfg_path)
         scan_path = self._scan_file(tmp_path, cfg)
-        proc = run_cli(
+        proc = run_entry_point(
             "localize-once",
             "--config", str(cfg_path),
             "--scan", str(scan_path),
@@ -982,6 +997,17 @@ class TestLocalizeOnce:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith(f"error: got {count} density images for a 3-camera rig")
+
+    def test_empty_image_exits_two_naming_file(self, tmp_path, capsys):
+        cfg_path = tiny_config(tmp_path)
+        scan_path = self._scan_file(tmp_path, load_config(cfg_path))
+        image = tmp_path / "empty.pgm"
+        image.write_bytes(b"P5\n0 4\n65535\n")
+        argv = ["localize-once", "--config", str(cfg_path), "--scan", str(scan_path)]
+        assert cli.main([*argv, "--image", str(image)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {image}: density image is empty (0 x 4 pixels)\n"
 
     def test_fused_scan_localizes_without_images(self, tmp_path):
         cfg_path = tiny_config(tmp_path)

@@ -354,21 +354,10 @@ class TestRaycast:
         monkeypatch.setattr(sensor_sim, "_CELL", cell)
         monkeypatch.setattr(sensor_sim, "_GROUP_RAYS", group_rays)
         origin, dirs, triangles = RAYCAST_CASES[case]
-        t, tri = _raycast(origin, dirs, triangles)
+        t, tri = _raycast(origin, dirs, triangles, sensor_sim._ray_groups(dirs))
         ref_t, ref_tri = all_pairs_raycast(origin, dirs, triangles)
         assert t.tobytes() == ref_t.tobytes()
         np.testing.assert_array_equal(tri, ref_tri)
-
-    @pytest.mark.parametrize("case", ["soup0", "lidar_grid_in_soup", "duplicated_triangles"])
-    def test_cast_over_part_of_a_grouping_matches_all_pairs(self, case):
-        """The rays a `_RayGroups.subset` keeps hit as against every pair,
-        under their groups' cones; the rays it drops miss."""
-        origin, dirs, triangles = RAYCAST_CASES[case]
-        keep = np.random.default_rng(5).random(len(dirs)) < 0.3
-        t, tri = _raycast(origin, dirs, triangles, sensor_sim._ray_groups(dirs).subset(keep))
-        ref_t, ref_tri = all_pairs_raycast(origin, dirs, triangles)
-        assert t.tobytes() == np.where(keep, ref_t, np.inf).tobytes()
-        np.testing.assert_array_equal(tri, np.where(keep, ref_tri, -1))
 
     def test_cell_groups_split_rays_by_face(self):
         """Each ray in one group, each group on one face and within `_CHUNK`:
@@ -425,13 +414,13 @@ class TestRaycast:
 
     def test_lowest_index_wins_a_tie(self):
         origin, dirs, triangles = RAYCAST_CASES["duplicated_triangles"]
-        t, tri = _raycast(origin, dirs, triangles)
+        t, tri = _raycast(origin, dirs, triangles, sensor_sim._ray_groups(dirs))
         assert np.isfinite(t).sum() > 100
         assert tri.max() < len(triangles) // 3
 
     def test_rays_through_shared_edges_and_vertices_hit(self):
         origin, dirs, triangles = RAYCAST_CASES["shared_edges_and_vertices"]
-        t, tri = _raycast(origin, dirs, triangles)
+        t, tri = _raycast(origin, dirs, triangles, sensor_sim._ray_groups(dirs))
         assert np.isfinite(t).all()
         np.testing.assert_allclose(t * dirs[:, 0], 2.0, atol=1e-12)
 
@@ -567,8 +556,8 @@ def sequence(scene: Scene, n_scans: int, seed: int = 8):
 
 def triangle_counts(scene: Scene) -> tuple[int, int]:
     """(static, actor) triangles of `scene`."""
-    tris, codes, _ = sensor_sim._gather_scene(scene, 0.0)
-    return int((codes < 2).sum()), int((codes == 2).sum())
+    static = sum(len(s.triangles) for s in (*scene.as_built.surfaces, *scene.clutter))
+    return static, sum(len(actor.surface.triangles) for actor in scene.actors)
 
 
 class TestStationaryCast:
@@ -600,58 +589,76 @@ class TestStationaryCast:
         else:
             assert actor_points == [0] * 4
 
+    @pytest.mark.parametrize("name", list(SEQUENCE_SCENES))
+    def test_cast_equals_all_pairs_over_every_triangle(self, name):
+        """Each call of a sensor's cast returns what every ray against every
+        triangle of the scene at its time gives, a tie going to the lowest
+        index, so to the static triangle."""
+        scene = SEQUENCE_SCENES[name]
+        triangles = sensor_sim._SceneTriangles(scene)
+        cast = sensor_sim._Cast(triangles)
+        dirs = SEQUENCE_RIG[0].ray_directions() @ SEQUENCE_POSE.rotation.T
+        for time_s in (0.0, 0.5, 1.0, 1.5):
+            t, tri = cast(SEQUENCE_POSE.translation, dirs, time_s)
+            every = np.concatenate([triangles.static, triangles.actors_at(time_s)])
+            want_t, want_tri = all_pairs_raycast(SEQUENCE_POSE.translation, dirs, every)
+            assert t.tobytes() == want_t.tobytes()
+            np.testing.assert_array_equal(tri, want_tri)
+
     def test_actor_face_in_a_wall_ties_with_the_wall(self):
         """The poster's hits tie with the wall's, bit for bit, so the
         sequence must keep the wall's hit on a tie."""
         scene = SEQUENCE_SCENES["actor_face_in_wall"]
-        tris, codes, _ = sensor_sim._gather_scene(scene, 0.0)
+        triangles = sensor_sim._SceneTriangles(scene)
         dirs = SEQUENCE_RIG[0].ray_directions() @ SEQUENCE_POSE.rotation.T
-        static_t, _ = _raycast(SEQUENCE_POSE.translation, dirs, tris[codes < 2])
-        actor_t, _ = _raycast(SEQUENCE_POSE.translation, dirs, tris[codes == 2])
+        origin, groups = SEQUENCE_POSE.translation, sensor_sim._ray_groups(dirs)
+        static_t, _ = _raycast(origin, dirs, triangles.static, groups)
+        actor_t, _ = _raycast(origin, dirs, triangles.actors_at(0.0), groups)
         assert (np.isfinite(actor_t) & (actor_t == static_t)).sum() > 100
 
-    def test_later_frames_cast_only_the_actors(self, monkeypatch):
-        """Frame 0 casts every triangle, then each sensor's actor-hit rays
-        against the static ones; later frames cast only the actors, over all
-        of a sensor's rays."""
+    def test_static_scene_cast_once_per_sensor(self, monkeypatch):
+        """Per sensor, one grouping and one cast of the static triangles on
+        the first frame, and one cast of the actors per frame over that
+        grouping; a lone call makes one cast of each."""
         scene = SEQUENCE_SCENES["crossing_and_leaving"]
         n_static, n_actor = triangle_counts(scene)
-        calls, cast = [], sensor_sim._raycast
+        calls, cast, group = [], sensor_sim._raycast, sensor_sim._ray_groups
 
-        def counted(origin, dirs, triangles, groups):
-            t, tri = cast(origin, dirs, triangles, groups)
-            calls.append((len(triangles), len(groups.rays), int((tri >= n_static).sum())))
-            return t, tri
+        def counted_cast(origin, dirs, triangles, groups):
+            calls.append((len(triangles), len(groups.rays)))
+            return cast(origin, dirs, triangles, groups)
 
-        monkeypatch.setattr(sensor_sim, "_raycast", counted)
+        def counted_groups(dirs):
+            calls.append(("grouped", len(dirs)))
+            return group(dirs)
+
+        monkeypatch.setattr(sensor_sim, "_raycast", counted_cast)
+        monkeypatch.setattr(sensor_sim, "_ray_groups", counted_groups)
         sequence(scene, 4)
-        calls = iter(calls)
-        rays, recasts = [], 0
-        for _ in range(4):  # frame 0: the LiDAR and three cameras
-            tris, grouped, on_actors = next(calls)
-            assert tris == n_static + n_actor
-            rays.append(grouped)
-            if on_actors:
-                assert next(calls)[:2] == (n_static, on_actors)
-                recasts += 1
-        assert recasts > 0
-        assert rays == [len(SEQUENCE_RIG[0].ray_directions())] + [40 * 30] * 3
-        assert [c[:2] for c in calls] == [(n_actor, k) for k in rays] * 3
+        lidar, (camera, *_) = SEQUENCE_RIG
+        rays = [len(lidar.ray_directions())] + [40 * 30] * 3
 
-    def test_one_frame_sequence_casts_as_a_lone_call(self, monkeypatch):
-        """One frame: one cast per sensor of every triangle, grouped inside
-        `_raycast` as a lone call does, and no cast state is built."""
+        def first_cast(k):
+            return [("grouped", k), (n_static, k), (n_actor, k)]
+
+        assert calls == [c for k in rays for c in first_cast(k)] + [(n_actor, k) for k in rays] * 3
+        calls.clear()
+        raycast_scan(scene, SEQUENCE_POSE, lidar)
+        render_density_image(scene, SEQUENCE_POSE, camera, DensityOracleParams())
+        assert calls == first_cast(rays[0]) + first_cast(40 * 30)
+
+    def test_actors_move_once_per_frame(self, monkeypatch):
+        """All sensors of a frame share the actors moved to its time."""
         scene = SEQUENCE_SCENES["crossing_and_leaving"]
-        calls, cast = [], sensor_sim._raycast
+        times, at = [], Actor.at
 
-        def counted(*args, **kwargs):
-            calls.append((len(args), kwargs, len(args[2])))
-            return cast(*args, **kwargs)
+        def counted_at(actor, time_s):
+            times.append(time_s)
+            return at(actor, time_s)
 
-        monkeypatch.setattr(sensor_sim, "_raycast", counted)
-        monkeypatch.setattr(sensor_sim, "_StationaryCast", None)
-        sequence(scene, 1)
-        assert calls == [(3, {}, sum(triangle_counts(scene)))] * 4
+        monkeypatch.setattr(Actor, "at", counted_at)
+        sequence(scene, 4)
+        assert times == [i * 0.5 for i in range(4) for _ in scene.actors]
 
 
 class TestTrialSequence:
@@ -832,6 +839,14 @@ class TestFileFormats:
         path.write_bytes(b"P5\n2 2\n255\n\x00\x01\x02\x03")
         with pytest.raises(ValueError):
             read_density_pgm(path)
+
+    @pytest.mark.parametrize("width, height", [(0, 4), (4, 0), (0, 0)])
+    def test_pgm_refuses_an_empty_image(self, tmp_path, width, height):
+        path = tmp_path / "empty.pgm"
+        path.write_bytes(f"P5\n{width} {height}\n65535\n".encode("ascii"))
+        with pytest.raises(ValueError) as error:
+            read_density_pgm(path)
+        assert str(error.value) == f"{path}: density image is empty ({width} x {height} pixels)"
 
 
 class TestSceneInvariants:
