@@ -14,7 +14,7 @@ import sys
 from . import experiment
 from .experiment import ConfigError, load_config
 from .model import ModelError
-from .registration import result_record
+from .registration import ICP_METHODS, SCAN_METHODS, result_record
 from .sensor_sim import read_density_pgm, read_scan_csv
 
 
@@ -72,7 +72,13 @@ def cmd_run_matrix(args: argparse.Namespace) -> int:
 def cmd_localize_once(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, _overrides(args))
     scan = read_scan_csv(args.scan)
-    images = [read_density_pgm(p) for p in args.image or []]
+    paths = args.image or []
+    images = [read_density_pgm(p) for p in paths]
+    for path, image, cam in zip(paths, images, cfg.cameras):  # checked for every variant
+        h, w = image.values.shape
+        if (w, h) != (cam.width, cam.height):
+            sizes = f"{w} x {h} pixels, its camera {cam.width} x {cam.height}"
+            raise ValueError(f"{path}: density image is {sizes}")
     init = experiment.load_pose(args.init_pose) if args.init_pose else cfg.initial_pose
     result = experiment.localize_once(
         cfg, scan, images, init, (args.icp, args.scan_variant)
@@ -105,10 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--image", action="append", help="density PGM, one per rig camera, in rig order"
     )
     p_once.add_argument("--init-pose", help="JSON pose file ({r,t} or translation/yaw_deg)")
-    p_once.add_argument("--icp", choices=("full", "selective"), default="selective")
-    p_once.add_argument(
-        "--scan-variant", choices=("full", "filtered", "weighted"), default="filtered"
-    )
+    p_once.add_argument("--icp", choices=ICP_METHODS, default="selective")
+    p_once.add_argument("--scan-variant", choices=SCAN_METHODS, default="filtered")
     p_once.set_defaults(func=cmd_localize_once)
     return parser
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -59,7 +59,6 @@ from .sensor_sim import (
     PrismSpec,
     Scan,
     Scene,
-    TrialFrame,
     default_camera_rig,
     iter_trial_sequence,
     prism_position,
@@ -446,42 +445,65 @@ def scene_inventory(cfg: ExperimentConfig) -> list[str]:
     return lines
 
 
-def _rig_triples(images: Sequence[DensityImage], cameras: Sequence[CameraSpec]) -> list:
-    """(image, camera, camera pose in the body frame) per rig camera."""
-    if len(images) != len(cameras):
-        raise ValueError(f"got {len(images)} density images for a {len(cameras)}-camera rig")
-    return [(img, cam, cam.extrinsic) for img, cam in zip(images, cameras)]
-
-
-def fuse_frame(frame: TrialFrame, cfg: ExperimentConfig) -> tuple[Scan, int]:
-    """Project the frame's density images into its scan."""
-    return fuse_densities(frame.scan, _rig_triples(frame.images, cfg.cameras), cfg.fusion)
-
-
-def localize_frame(
-    scan: Scan,
-    bundle: SceneBundle,
-    cfg: ExperimentConfig,
-    init: RigidTransform,
-    method: tuple[str, str],
-) -> LocalizationResult:
-    """Localize one scan against the bundle's maps with the config's
-    weighting thresholds and selective settings."""
-    return localize(
-        scan,
-        bundle.full_map,
-        bundle.ref_map,
-        init,
-        method,
-        delta=cfg.delta,
-        delta_prime=cfg.delta_prime,
-        cfg=cfg.selective,
-    )
+def fuse_scan(scan: Scan, images: Sequence[DensityImage], cfg: ExperimentConfig) -> Scan:
+    """The scan's points that a rig camera sees, with the density of their
+    pixels fused in; `images` holds one image per camera of `cfg.cameras`,
+    in rig order."""
+    triples = [(img, cam, cam.extrinsic) for img, cam in zip(images, cfg.cameras)]
+    return fuse_densities(scan, triples, cfg.fusion)[0]
 
 
 def _usable_cpus() -> int:
     """Number of CPUs this process may run on."""
     return len(os.sched_getaffinity(0))
+
+
+def localize_scan(
+    scan: Scan,
+    images: Sequence[DensityImage] | None,
+    bundle: SceneBundle,
+    cfg: ExperimentConfig,
+    init: RigidTransform,
+    methods: Sequence[tuple[str, str]],
+    worker: Executor | None = None,
+) -> dict[tuple[str, str], LocalizationResult]:
+    """Localize one LiDAR scan from `init` under every requested method.
+
+    Scan variant `full` localizes the scan as given. `filtered` and
+    `weighted` localize it with `images`, one per rig camera in rig order,
+    fused in (once for both), or as given when `images` is None or empty:
+    it must then carry densities. Each variant X runs one localization:
+    selective × X when requested, else full × X, selective first; full × X
+    is `conclude` of the selective run's first stage alone. With a `worker`
+    and more than one localization, the first runs on the worker while this
+    thread runs the others; each only reads the scans and the maps, so the
+    results equal a sequential run. Returns the result of every requested
+    method (and of full × X wherever selective × X ran), by method."""
+    if images and len(images) != len(cfg.cameras):
+        raise ValueError(f"got {len(images)} density images for a {len(cfg.cameras)}-camera rig")
+    runs: list[tuple[str, str]] = []
+    for method in sorted(methods, key=lambda m: m[0] != "selective"):
+        if method not in runs and ("selective", method[1]) not in runs:
+            runs.append(method)
+    fused = scan
+    if images and any(m[1] != "full" for m in runs):
+        fused = fuse_scan(scan, images, cfg)
+    jobs = [
+        (scan if m[1] == "full" else fused, bundle.full_map, bundle.ref_map, init, m)
+        for m in runs
+    ]
+    knobs = {"delta": cfg.delta, "delta_prime": cfg.delta_prime, "cfg": cfg.selective}
+    if worker is not None and len(jobs) > 1:
+        ahead = worker.submit(localize, *jobs[0], **knobs)
+        rest = [localize(*job, **knobs) for job in jobs[1:]]
+        done = [ahead.result(), *rest]
+    else:
+        done = [localize(*job, **knobs) for job in jobs]
+    results = dict(zip(runs, done))
+    for (icp, variant), res in zip(runs, done):
+        if icp == "selective":
+            results[("full", variant)] = conclude(res.stages[:1], cfg.selective)
+    return results
 
 
 def run_execution(
@@ -490,62 +512,30 @@ def run_execution(
     execution: int,
     methods: Sequence[tuple[str, str]] = METHOD_MATRIX,
 ) -> dict[tuple[str, str], list[TrialRecord]]:
-    """Simulate one execution's trial sequence and localize it under every
-    requested method, one frame at a time. Trial seeds are `seed + execution * n_scans + trial`.
-    Each scan variant X runs one localization per frame: selective × X when
-    requested, else full × X; full × X concludes the selective run's first
-    stage alone.
+    """Simulate one execution's trial sequence and localize each frame under
+    every requested method (`localize_scan`) before simulating the next.
+    Trial seeds are `seed + execution * n_scans + trial`.
 
     On more than one usable CPU, a frame's first localization runs on one
-    worker thread while this thread runs the others; each only reads the
-    frame's scans and the maps, so the records equal a sequential run. The
-    worker is joined before returning, also when a localization raises."""
+    worker thread while this thread runs the others, so the records equal a
+    sequential run. The worker is joined before returning, also when a
+    localization raises."""
     frames = iter_trial_sequence(
-        bundle.scene,
-        cfg.robot_pose,
-        cfg.n_scans,
-        cfg.lidar,
-        cfg.cameras,
-        cfg.prism,
-        cfg.oracle,
-        seed=cfg.seed + execution * cfg.n_scans,
-        period_s=cfg.scan_period_s,
+        bundle.scene, cfg.robot_pose, cfg.n_scans, cfg.lidar, cfg.cameras, cfg.prism,
+        cfg.oracle, seed=cfg.seed + execution * cfg.n_scans, period_s=cfg.scan_period_s,
     )
-    needs_fusion = any(m[1] != "full" for m in methods)
-    runs: list[tuple[str, str]] = []  # the localizations run per frame, selective first
-    for method in sorted(methods, key=lambda m: m[0] != "selective"):
-        if method not in runs and ("selective", method[1]) not in runs:
-            runs.append(method)
-    concurrent = len(runs) > 1 and _usable_cpus() > 1
     records: dict[tuple[str, str], list[TrialRecord]] = {m: [] for m in methods}
-    with ThreadPoolExecutor(max_workers=1) as worker:  # starts a thread on first submit
+    with ThreadPoolExecutor(max_workers=1) as pool:  # starts a thread on first submit
+        worker = pool if _usable_cpus() > 1 else None
         for frame in frames:
-            fused_scan = fuse_frame(frame, cfg)[0] if needs_fusion else frame.scan
-            jobs = [
-                (frame.scan if m[1] == "full" else fused_scan, bundle, cfg, cfg.initial_pose, m)
-                for m in runs
-            ]
-            if concurrent:
-                ahead = worker.submit(localize_frame, *jobs[0])
-                rest = [localize_frame(*job) for job in jobs[1:]]
-                done = [ahead.result(), *rest]
-            else:
-                done = [localize_frame(*job) for job in jobs]
-            results: dict[tuple[str, str], LocalizationResult] = {}
-            for method, res in zip(runs, done):
-                results[method] = res
-                results[("full", method[1])] = conclude(res.stages[:1], cfg.selective)
+            results = localize_scan(
+                frame.scan, frame.images, bundle, cfg, cfg.initial_pose, methods, worker
+            )
             for method in methods:
                 result = results[method]
                 est = prism_position(result.transform, cfg.prism) if result.localized else None
                 records[method].append(
-                    TrialRecord(
-                        scan_index=frame.index,
-                        result=result,
-                        true_pose=frame.pose,
-                        true_prism=frame.prism,
-                        estimated_prism=est,
-                    )
+                    TrialRecord(frame.index, result, frame.pose, frame.prism, est)
                 )
     return records
 
@@ -589,13 +579,9 @@ def localize_once(
     init: RigidTransform,
     method: tuple[str, str],
 ) -> LocalizationResult:
-    """Single-shot localization of an externally supplied scan.
-
-    When density images are given, one per rig camera in rig order, they are
-    fused into the scan first; otherwise the scan must already carry
-    densities if a filtered or weighted method is requested.
-    """
-    bundle = assemble_scene(cfg)
-    if images:
-        scan = fuse_densities(scan, _rig_triples(images, cfg.cameras), cfg.fusion)[0]
-    return localize_frame(scan, bundle, cfg, init, method)
+    """Single-shot localization of an externally supplied scan, on the
+    config's maps, as `run_execution` localizes a frame (`localize_scan`):
+    `full` uses every point of the scan; `filtered` and `weighted` fuse the
+    density images, one per rig camera in rig order, into the scan first, or
+    without images need a scan that already carries densities."""
+    return localize_scan(scan, images, assemble_scene(cfg), cfg, init, [method])[method]

@@ -570,6 +570,7 @@ def iter_trial_sequence(
     generator, bit for bit. Only the actors move: the static scene is
     gathered once and each sensor casts it once, on the first frame, while
     every frame moves the actors once and each sensor casts them (`_Cast`).
+    The casts are dropped once the last frame is cast, before it is yielded.
     """
     if n_scans < 1:
         raise ValueError("n_scans must be >= 1")
@@ -587,6 +588,8 @@ def iter_trial_sequence(
             )
             for cam, cast in zip(cameras, casts[1:])
         )
+        if i == n_scans - 1:
+            casts.clear()  # free the static hits before the caller takes the last frame
         yield TrialFrame(
             index=i, scan=scan, images=images, pose=robot_pose, prism=gt_prism
         )

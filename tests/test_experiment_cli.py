@@ -19,16 +19,17 @@ from planloc.experiment import (
     ConfigError,
     METHOD_MATRIX,
     assemble_scene,
-    fuse_frame,
+    fuse_scan,
     load_config,
     run_execution,
     run_matrix,
 )
-from planloc.fusion import FusionConfig
+from planloc.fusion import FusionConfig, fuse_densities
 from planloc.geometry import RigidTransform, compose
 from planloc.metrics import TrialRecord
 from planloc.registration import SCAN_METHODS, conclude, localize, result_record
 from planloc.sensor_sim import (
+    DensityImage,
     Scan,
     generate_trial_sequence,
     iter_trial_sequence,
@@ -720,7 +721,7 @@ class TestSharedStage:
             bundle.scene, cfg.robot_pose, 1, cfg.lidar, cfg.cameras, cfg.prism,
             cfg.oracle, seed=cfg.seed, period_s=cfg.scan_period_s,
         )[0]
-        fused = fuse_frame(frame, cfg)[0]
+        fused = fuse_scan(frame.scan, frame.images, cfg)
         for scan_method in SCAN_METHODS:
             scan = frame.scan if scan_method == "full" else fused
             direct = localize(
@@ -761,6 +762,28 @@ class TestSharedStage:
         assert counts == {"point_to_plane_icp": 2}
 
 
+class TestOneFramePath:
+    @pytest.mark.parametrize("method", METHOD_MATRIX, ids="-".join)
+    def test_localize_once_equals_run_execution(self, tmp_path, method):
+        """localize-once localizes a frame's scan and images as run-matrix
+        does, also where the rig leaves points that no camera sees."""
+        cfg = load_config(tiny_config(tmp_path, n_scans=1))
+        bundle = assemble_scene(cfg)
+        frame = generate_trial_sequence(
+            bundle.scene, cfg.robot_pose, 1, cfg.lidar, cfg.cameras, cfg.prism,
+            cfg.oracle, seed=cfg.seed, period_s=cfg.scan_period_s,
+        )[0]
+        assert len(fuse_scan(frame.scan, frame.images, cfg)) < len(frame.scan)  # uncovered
+        (want,) = (rec.result for rec in run_execution(bundle, cfg, 0)[method])
+        got = experiment.localize_once(cfg, frame.scan, frame.images, cfg.initial_pose, method)
+        assert got.failure_reason == want.failure_reason
+        assert result_record(got, *method) == result_record(want, *method)
+        assert got.localized and want.localized
+        for part in ("rotation", "translation"):
+            got_bytes = getattr(got.transform, part).tobytes()
+            assert got_bytes == getattr(want.transform, part).tobytes()
+
+
 class TestOneFrameAtATime:
     def test_simulation_and_localization_interleave(self, tmp_path, monkeypatch):
         cfg = load_config(tiny_config(tmp_path, n_scans=2))
@@ -793,13 +816,15 @@ def sequential_execution(bundle, cfg, execution, methods=METHOD_MATRIX):
     needs_fusion = any(m[1] != "full" for m in methods)
     records = {m: [] for m in methods}
     for frame in frames:
-        fused_scan = fuse_frame(frame, cfg)[0] if needs_fusion else frame.scan
+        rig = [(img, cam, cam.extrinsic) for img, cam in zip(frame.images, cfg.cameras)]
+        fused_scan = fuse_densities(frame.scan, rig, cfg.fusion)[0] if needs_fusion else None
         results = {}
         for method in sorted(methods, key=lambda m: m[0] != "selective"):  # selective first
             if method not in results:
                 scan = frame.scan if method[1] == "full" else fused_scan
-                res = results[method] = experiment.localize_frame(
-                    scan, bundle, cfg, cfg.initial_pose, method
+                res = results[method] = localize(
+                    scan, bundle.full_map, bundle.ref_map, cfg.initial_pose, method,
+                    cfg.delta, cfg.delta_prime, cfg.selective,
                 )
                 results[("full", method[1])] = conclude(res.stages[:1], cfg.selective)
         for method in methods:
@@ -827,10 +852,10 @@ def assert_records_equal(got, want):
 
 
 def thread_log(monkeypatch, fail_on=None) -> list:
-    """Log the thread of every localize_frame call; with `fail_on` ("worker"
-    or "main") a call on that thread raises LookupError instead."""
+    """Log the thread of every localize call; with `fail_on` ("worker" or
+    "main") a call on that thread raises LookupError instead."""
     calls = []
-    original = experiment.localize_frame
+    original = experiment.localize
 
     def logged(*args, **kwargs):
         on_main = threading.current_thread() is threading.main_thread()
@@ -839,7 +864,7 @@ def thread_log(monkeypatch, fail_on=None) -> list:
             raise LookupError(f"localization failed on the {fail_on} thread")
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(experiment, "localize_frame", logged)
+    monkeypatch.setattr(experiment, "localize", logged)
     return calls
 
 
@@ -998,6 +1023,51 @@ class TestLocalizeOnce:
         assert proc.stdout == ""
         assert proc.stderr.startswith(f"error: got {count} density images for a 3-camera rig")
 
+    @pytest.mark.parametrize("variant", ["full", "weighted"])  # filtered: the test above
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_image_count_is_checked_for_every_variant(self, tmp_path, variant, count):
+        cfg_path = tiny_config(tmp_path)
+        cfg = load_config(cfg_path)
+        scan_path = self._scan_file(tmp_path, cfg)
+        image_args = self._image_args(tmp_path, cfg, assemble_scene(cfg), count)
+        proc = run_cli(
+            "localize-once", "--config", str(cfg_path), "--scan", str(scan_path), *image_args,
+            "--scan-variant", variant,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: got {count} density images for a 3-camera rig\n"
+
+    @pytest.mark.parametrize("variant", SCAN_METHODS)
+    def test_mis_sized_image_exits_two_naming_file_and_sizes(self, tmp_path, variant):
+        cfg_path = tiny_config(tmp_path)
+        cfg = load_config(cfg_path)
+        scan_path = self._scan_file(tmp_path, cfg)
+        image_args = self._image_args(tmp_path, cfg, assemble_scene(cfg), len(cfg.cameras))
+        small = tmp_path / "small.pgm"
+        write_density_pgm(DensityImage(np.full((24, 32), 0.5)), small)
+        image_args[3] = str(small)  # the second camera's image
+        proc = run_cli(
+            "localize-once", "--config", str(cfg_path), "--scan", str(scan_path), *image_args,
+            "--scan-variant", variant,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        sizes = "density image is 32 x 24 pixels, its camera 64 x 48"
+        assert proc.stderr == f"error: {small}: {sizes}\n"
+
+    def test_full_variant_ignores_images(self, tmp_path):
+        """`full` localizes every point of the scan, so density images, which
+        leave the points no camera sees out of the fused scan, change nothing."""
+        cfg_path = tiny_config(tmp_path)
+        cfg = load_config(cfg_path)
+        scan_path = self._scan_file(tmp_path, cfg)
+        image_args = self._image_args(tmp_path, cfg, assemble_scene(cfg), len(cfg.cameras))
+        argv = ["localize-once", "--config", str(cfg_path), "--scan", str(scan_path)]
+        for icp in ("full", "selective"):
+            method = ["--icp", icp, "--scan-variant", "full"]
+            with_images, without = run_cli(*argv, *image_args, *method), run_cli(*argv, *method)
+            assert with_images.returncode == without.returncode == 0, with_images.stderr
+            assert with_images.stdout == without.stdout
+
     def test_empty_image_exits_two_naming_file(self, tmp_path, capsys):
         cfg_path = tiny_config(tmp_path)
         scan_path = self._scan_file(tmp_path, load_config(cfg_path))
@@ -1016,7 +1086,7 @@ class TestLocalizeOnce:
             assemble_scene(cfg).scene, cfg.robot_pose, 1, cfg.lidar, cfg.cameras,
             cfg.prism, cfg.oracle, seed=3,
         )[0]
-        fused, _ = fuse_frame(frame, cfg)
+        fused = fuse_scan(frame.scan, frame.images, cfg)
         scan_path = tmp_path / "fused.csv"
         write_scan_csv(fused, scan_path)
         assert scan_path.read_text().startswith("x,y,z,d,w\n")
@@ -1103,7 +1173,7 @@ class TestLocalizeOnce:
             cfg.prism, cfg.oracle, seed=3,
         )[0]
         scan_path = tmp_path / "fused.csv"
-        write_scan_csv(fuse_frame(frame, cfg)[0], scan_path)
+        write_scan_csv(fuse_scan(frame.scan, frame.images, cfg), scan_path)
         lines = scan_path.read_text().splitlines()
         fields = lines[5].split(",")
         fields[column] = value

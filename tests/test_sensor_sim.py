@@ -1,5 +1,6 @@
 import itertools
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from planloc.sensor_sim import (
     Scene,
     default_camera_rig,
     generate_trial_sequence,
+    iter_trial_sequence,
     prism_position,
     raycast_scan,
     read_density_pgm,
@@ -659,6 +661,36 @@ class TestStationaryCast:
         monkeypatch.setattr(Actor, "at", counted_at)
         sequence(scene, 4)
         assert times == [i * 0.5 for i in range(4) for _ in scene.actors]
+
+
+class TestCastRelease:
+    @pytest.mark.parametrize("n_scans", [1, 3])
+    def test_casts_are_freed_before_the_last_frame(self, monkeypatch, n_scans):
+        """A sequence keeps its sensors' casts (and their static hits) from
+        frame to frame, and drops them once its last frame is cast: none is
+        alive while the caller holds that frame, the generator still open."""
+        casts = []
+
+        class TrackedCast(sensor_sim._Cast):
+            def __init__(self, triangles):
+                super().__init__(triangles)
+                casts.append(weakref.ref(self))
+
+        monkeypatch.setattr(sensor_sim, "_Cast", TrackedCast)
+        lidar, cameras = SEQUENCE_RIG
+        frames = iter_trial_sequence(
+            SEQUENCE_SCENES["crossing_and_leaving"], SEQUENCE_POSE, n_scans, lidar, cameras,
+            PrismSpec(), DensityOracleParams(), seed=8, period_s=0.5,
+        )
+        for _ in range(n_scans - 1):
+            next(frames)
+            assert len(casts) == 1 + len(cameras)
+            assert all(ref() is not None for ref in casts)
+        last = next(frames)
+        assert last.index == n_scans - 1
+        assert len(casts) == 1 + len(cameras)
+        assert all(ref() is None for ref in casts)
+        assert next(frames, None) is None
 
 
 class TestTrialSequence:
