@@ -13,6 +13,7 @@ import sys
 
 from . import experiment
 from .experiment import ConfigError, load_config
+from .fusion import check_image_size
 from .model import ModelError
 from .registration import ICP_METHODS, SCAN_METHODS, result_record
 from .sensor_sim import read_density_pgm, read_scan_csv
@@ -75,10 +76,10 @@ def cmd_localize_once(args: argparse.Namespace) -> int:
     paths = args.image or []
     images = [read_density_pgm(p) for p in paths]
     for path, image, cam in zip(paths, images, cfg.cameras):  # checked for every variant
-        h, w = image.values.shape
-        if (w, h) != (cam.width, cam.height):
-            sizes = f"{w} x {h} pixels, its camera {cam.width} x {cam.height}"
-            raise ValueError(f"{path}: density image is {sizes}")
+        try:
+            check_image_size(image, cam)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
     init = experiment.load_pose(args.init_pose) if args.init_pose else cfg.initial_pose
     result = experiment.localize_once(
         cfg, scan, images, init, (args.icp, args.scan_variant)

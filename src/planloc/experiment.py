@@ -479,8 +479,6 @@ def localize_scan(
     thread runs the others; each only reads the scans and the maps, so the
     results equal a sequential run. Returns the result of every requested
     method (and of full × X wherever selective × X ran), by method."""
-    if images and len(images) != len(cfg.cameras):
-        raise ValueError(f"got {len(images)} density images for a {len(cfg.cameras)}-camera rig")
     runs: list[tuple[str, str]] = []
     for method in sorted(methods, key=lambda m: m[0] != "selective"):
         if method not in runs and ("selective", method[1]) not in runs:
@@ -583,5 +581,8 @@ def localize_once(
     config's maps, as `run_execution` localizes a frame (`localize_scan`):
     `full` uses every point of the scan; `filtered` and `weighted` fuse the
     density images, one per rig camera in rig order, into the scan first, or
-    without images need a scan that already carries densities."""
+    without images need a scan that already carries densities. The image
+    count is checked before any map is built."""
+    if images and len(images) != len(cfg.cameras):
+        raise ValueError(f"got {len(images)} density images for a {len(cfg.cameras)}-camera rig")
     return localize_scan(scan, images, assemble_scene(cfg), cfg, init, [method])[method]

@@ -59,6 +59,14 @@ def _project(points: np.ndarray, spec: CameraSpec, camera_pose: RigidTransform):
     return covered, iu, iv
 
 
+def check_image_size(image: DensityImage, spec: CameraSpec) -> None:
+    """Refuse an image whose pixel grid is not its camera's."""
+    h, w = image.values.shape
+    if (w, h) != (spec.width, spec.height):
+        sizes = f"{w} x {h} pixels, its camera {spec.width} x {spec.height}"
+        raise ValueError(f"density image is {sizes}")
+
+
 def fuse_densities(
     scan: Scan,
     images: Sequence[tuple[DensityImage, CameraSpec, RigidTransform]],
@@ -78,8 +86,7 @@ def fuse_densities(
     covered_any = np.zeros(n, dtype=bool)
     fused = np.full(n, -np.inf)
     for image, spec, camera_pose in images:
-        if image.values.shape != (spec.height, spec.width):
-            raise ValueError("density image resolution does not match its camera spec")
+        check_image_size(image, spec)
         covered, iu, iv = _project(points, spec, camera_pose)
         idx = np.flatnonzero(covered)
         d = image.values[iv[idx], iu[idx]]

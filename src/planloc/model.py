@@ -6,6 +6,7 @@ output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -37,6 +38,11 @@ class InsufficientConstraintsError(ModelError):
     """Reference set lacks three pairwise non-parallel surfaces."""
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class Surface:
     """One named surface: a triangle soup whose winding defines orientation.
@@ -63,8 +69,7 @@ class Surface:
             raise ValueError(f"surface {self.id!r}: degenerate triangle (area <= 1e-12)")
         normals = cross / norms[:, None]
         for name, arr in (("triangles", tris), ("normals", normals), ("areas", areas)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(arr))
 
     @property
     def area(self) -> float:
@@ -106,6 +111,17 @@ class BuildingModel:
     @property
     def surface_ids(self) -> tuple[str, ...]:
         return tuple(s.id for s in self.surfaces)
+
+    @cached_property
+    def triangle_normals(self) -> np.ndarray:
+        """(T, 3) unit normal of every triangle, surfaces in order."""
+        return _frozen(np.concatenate([s.normals for s in self.surfaces]))
+
+    @cached_property
+    def triangle_surface(self) -> np.ndarray:
+        """(T,) int32 index of every triangle's surface."""
+        counts = [len(s.normals) for s in self.surfaces]
+        return _frozen(np.repeat(np.arange(len(counts), dtype=np.int32), counts))
 
     def get(self, surface_id: str) -> Surface:
         for s in self.surfaces:
@@ -150,10 +166,8 @@ class WallSegment:
             raise ValueError("wall thickness must be > 0")
         if np.linalg.norm(end - start) < 1e-9:
             raise ValueError("wall segment has zero length")
-        start.flags.writeable = False
-        end.flags.writeable = False
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "start", _frozen(start))
+        object.__setattr__(self, "end", _frozen(end))
 
 
 @dataclass(frozen=True)
@@ -171,8 +185,7 @@ class Floorplan2D:
         outline = np.array(self.floor_outline, dtype=np.float64)
         if outline.ndim != 2 or outline.shape[1] != 2 or outline.shape[0] < 3:
             raise ValueError("floor outline must be (K, 2) with K >= 3")
-        outline.flags.writeable = False
-        object.__setattr__(self, "floor_outline", outline)
+        object.__setattr__(self, "floor_outline", _frozen(outline))
 
 
 @dataclass(frozen=True)
@@ -188,60 +201,38 @@ class Deviation:
 
 @dataclass(frozen=True)
 class MapCloud:
-    """Sampled point map with per-point normals and source surface ids."""
+    """Sampled point map: each point and the index of the plan triangle it
+    lies on, into `model`'s per-triangle tables (`triangle_normals`,
+    `triangle_surface`), which every cloud of that model shares."""
 
     points: np.ndarray  # (N, 3) finite
-    normals: np.ndarray  # (N, 3) unit
-    surface_index: np.ndarray  # (N,) index into surface_ids
-    surface_ids: tuple[str, ...]
+    triangle: np.ndarray  # (N,) int32 index into the model's triangles
+    model: BuildingModel
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
-        normals = np.asarray(self.normals, dtype=np.float64)
-        idx = np.asarray(self.surface_index)
-        ids = tuple(self.surface_ids)
+        tri = np.asarray(self.triangle)
         rows = pts.shape[:1]
-        if pts.shape != (*rows, 3) or normals.shape != pts.shape or idx.shape != rows:
-            raise ValueError(
-                "map cloud points and normals must be shaped (N, 3), surface_index (N,)"
-            )
+        if pts.shape != (*rows, 3) or tri.shape != rows or tri.dtype.kind not in "iu":
+            raise ValueError("map cloud points must be shaped (N, 3), triangle integer (N,)")
         if len(pts):
             if not np.isfinite(pts).all():
                 raise ValueError("map cloud points must be finite")
-            dev = np.einsum("ij,ij->i", normals, normals)
-            np.sqrt(dev, out=dev)
-            dev -= 1.0
-            np.abs(dev, out=dev)
-            if not dev.max() <= 1e-9:  # a NaN compares false, so it fails too
-                raise ValueError("map cloud normals must be unit length")
-            if idx.min() < 0 or idx.max() >= len(ids):
-                raise ValueError("map cloud surface_index must index its surface ids")
-        self._hold(pts, normals, idx.astype(np.int32, copy=False), ids)
-
-    def _hold(self, points, normals, surface_index, surface_ids):
-        """Hold the arrays as read-only views, not copies: a MapIndex's
-        kd-tree shares `points`."""
-        for name, array in (("points", points), ("normals", normals),
-                            ("surface_index", surface_index)):
-            view = array.view()
-            view.flags.writeable = False
-            object.__setattr__(self, name, view)
-        object.__setattr__(self, "surface_ids", surface_ids)
+            if tri.min() < 0 or tri.max() >= len(self.model.triangle_surface):
+                raise ValueError("map cloud triangle must index its model's triangles")
+        # read-only views, not copies: a MapIndex's kd-tree shares `points`
+        for name, array in (("points", pts), ("triangle", tri.astype(np.int32, copy=False))):
+            object.__setattr__(self, name, _frozen(array.view()))
 
     def __len__(self) -> int:
         return len(self.points)
 
     def subset(self, surface_ids: Iterable[str]) -> "MapCloud":
-        wanted = set(surface_ids)
-        unknown = wanted - set(self.surface_ids)
-        if unknown:
-            raise UnknownSurfaceIdError(f"unknown surface ids {sorted(unknown)}")
-        keep = np.array([sid in wanted for sid in self.surface_ids], dtype=bool)
-        mask = keep[self.surface_index]
-        # rows of a checked cloud need no second check
-        sub = object.__new__(MapCloud)
-        sub._hold(self.points[mask], self.normals[mask], self.surface_index[mask], self.surface_ids)
-        return sub
+        """The points on the named surfaces, in order, on the same model."""
+        kept = self.model.subset(surface_ids).surface_ids  # raises on an unknown id
+        keep = np.array([sid in kept for sid in self.model.surface_ids], dtype=bool)
+        mask = keep[self.model.triangle_surface][self.triangle]
+        return MapCloud(self.points[mask], self.triangle[mask], self.model)
 
 
 # ---------------------------------------------------------------------------
@@ -371,22 +362,23 @@ def sample_model(model: BuildingModel, density: float, seed=0) -> MapCloud:
     rng = np.random.default_rng(seed)
     bound = sum(int(np.floor(s.areas * density).sum()) + len(s.areas) for s in model.surfaces)
     points = np.empty((bound, 3))
-    normals = np.empty((bound, 3))
-    surface_index = np.empty(bound, dtype=np.int32)
-    n = 0
-    for si, surface in enumerate(model.surfaces):
-        total = _sample_surface(surface, density, rng, points[n:], normals[n:])
-        surface_index[n : n + total] = si
+    triangle = np.empty(bound, dtype=np.int32)
+    n = first = 0  # rows written; index of the surface's first triangle
+    for surface in model.surfaces:
+        total = _sample_surface(surface, density, rng, points[n:], triangle[n:])
+        triangle[n : n + total] += first
         n += total
-    return MapCloud(points[:n], normals[:n], surface_index[:n], model.surface_ids)
+        first += len(surface.areas)
+    return MapCloud(points[:n], triangle[:n], model)
 
 
 def _sample_surface(
-    surface: Surface, density: float, rng, points: np.ndarray, normals: np.ndarray
+    surface: Surface, density: float, rng, points: np.ndarray, triangle: np.ndarray
 ) -> int:
-    """Sample one surface into the leading rows of `points` and `normals`;
-    returns how many rows it wrote. Its per-point temporaries are freed on
-    return, before the next surface's are made."""
+    """Sample one surface into the leading rows of `points` and `triangle`
+    (the index of each point's triangle within the surface); returns how
+    many rows it wrote. Its per-point temporaries are freed on return,
+    before the next surface's are made."""
     areas = surface.areas
     expected = areas * density
     counts = np.floor(expected).astype(np.int64)
@@ -394,7 +386,8 @@ def _sample_surface(
     total = int(counts.sum())
     if total == 0:
         return 0
-    tri_of_point = np.repeat(np.arange(len(areas)), counts)
+    tri_of_point = np.repeat(np.arange(len(areas), dtype=np.int32), counts)
+    triangle[:total] = tri_of_point
     u = rng.random(total)
     v = rng.random(total)
     flip = u + v > 1.0
@@ -410,7 +403,6 @@ def _sample_surface(
     np.take(tris[:, 2] - tris[:, 0], tri_of_point, axis=0, out=edge, mode="clip")
     edge *= v[:, None]
     p += edge
-    np.take(surface.normals, tri_of_point, axis=0, out=normals[:total], mode="clip")
     return total
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -55,16 +55,9 @@ class IcpConfig:
     min_correspondences: int = 30
 
     def __post_init__(self):
-        values = (
-            self.max_iterations,
-            self.max_correspondence_m,
-            self.translation_eps_m,
-            self.rotation_eps_rad,
-            self.huber_scale_m,
-            self.min_correspondences,
-        )
-        if not all(value > 0 for value in values):  # NaN is not > 0
-            raise ValueError("all ICP configuration values must be positive")
+        for f in fields(self):
+            if not getattr(self, f.name) > 0:  # NaN is not > 0
+                raise ValueError(f"ICP configuration value {f.name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -306,8 +299,8 @@ def point_to_plane_icp(
         return IcpResult(transform, "starved", 0, residual_rms, 0)
     positive = weights > 0
     points, weights = points[positive], weights[positive]
-    map_points = map_index.cloud.points
-    map_normals = map_index.cloud.normals
+    map_points, map_triangle = map_index.cloud.points, map_index.cloud.triangle
+    triangle_normals = map_index.cloud.model.triangle_normals
     certificates = NearestCertificates()
     cost = math.inf
     for iteration in range(1, cfg.max_iterations + 1):
@@ -318,7 +311,7 @@ def point_to_plane_icp(
             return IcpResult(transform, "starved", iteration, residual_rms, n_corr)
         p = world[valid]
         m = map_points[idx[valid]]
-        nrm = map_normals[idx[valid]]
+        nrm = triangle_normals[map_triangle[idx[valid]]]
         w = weights[valid]
         residuals = np.einsum("ij,ij->i", p - m, nrm)
         jac = residual_jacobian(p, nrm)

@@ -99,6 +99,9 @@ def default_camera_rig(
     """
     if not 0 < hfov_deg < 180:
         raise ValueError("hfov_deg must lie strictly between 0 and 180")
+    for name, size in (("width", width), ("height", height)):
+        if not size >= 1:
+            raise ValueError(f"camera {name} must be >= 1 pixel, got {size}")
     f = (width / 2.0) / np.tan(np.deg2rad(hfov_deg) / 2.0)
     # camera axes in body coordinates at yaw 0: optical axis along +x(body)
     base = np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
@@ -178,6 +181,8 @@ class Scan:
     def __post_init__(self):
         # contiguous copies, not views into the rows of a parsed CSV
         pts = np.ascontiguousarray(self.points, dtype=np.float64).reshape(-1, 3)
+        if not np.isfinite(pts).all():
+            raise ValueError("points must be finite")
         object.__setattr__(self, "points", pts)
         for name, dtype in (("densities", np.float64), ("weights", np.float64), ("classes", str)):
             arr = getattr(self, name)

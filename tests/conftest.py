@@ -10,6 +10,7 @@ import pytest
 from planloc import (
     Deviation,
     Floorplan2D,
+    MapCloud,
     RigidTransform,
     WallSegment,
     apply_deviation,
@@ -44,6 +45,11 @@ def square_room_plan(side: float = 6.0, thickness: float = 0.2, height: float = 
     )
 
 
+def normals_at(cloud: MapCloud, rows) -> np.ndarray:
+    """Unit normals of the map points `rows`: their triangles' normals."""
+    return cloud.model.triangle_normals[cloud.triangle[rows]]
+
+
 def pose_to_plane_cost(
     scan: Scan,
     map_index: MapIndex,
@@ -60,7 +66,7 @@ def pose_to_plane_cost(
     active = valid & (weights > 0)
     p = world[active]
     m = map_index.cloud.points[idx[active]]
-    nrm = map_index.cloud.normals[idx[active]]
+    nrm = normals_at(map_index.cloud, idx[active])
     residuals = np.einsum("ij,ij->i", p - m, nrm)
     return float((weights[active] * kernel_cost(residuals, huber_scale_m)).sum())
 

@@ -30,7 +30,7 @@ from planloc.registration import (
 )
 from planloc.sensor_sim import LidarSpec, Scene, raycast_scan
 
-from conftest import pose_to_plane_cost, random_rotvec, square_room_plan, src_env
+from conftest import normals_at, pose_to_plane_cost, random_rotvec, square_room_plan, src_env
 from test_metrics import (
     failed_record,
     localized_record,
@@ -462,7 +462,7 @@ def test_c8_brute_force_pose_grid(room_model):
         batch = (base[None, :, :] + shifts[:, None, :]).reshape(-1, 3)
         idx, _ = index.query(batch)
         diff = batch - cloud.points[idx]
-        resid = np.einsum("ij,ij->i", diff, cloud.normals[idx])
+        resid = np.einsum("ij,ij->i", diff, normals_at(cloud, idx))
         costs = (resid**2).reshape(len(shifts), -1).sum(axis=1)
         grid_min = min(grid_min, float(costs.min()))
 
@@ -551,7 +551,7 @@ def test_c10_argmin_invariances(room_model, room_scene):
     world = init.apply(raw.points)
     idx, valid = index.query(world, 0.5)
     p, m = world[valid], index.cloud.points[idx[valid]]
-    nrm = index.cloud.normals[idx[valid]]
+    nrm = normals_at(index.cloud, idx[valid])
     rng = np.random.default_rng(10)
     w = rng.uniform(0.05, 1.0, size=len(p))
     jac, residuals = residual_jacobian(p, nrm), np.einsum("ij,ij->i", p - m, nrm)

@@ -256,6 +256,26 @@ class TestConfig:
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name", ["width", "height"])
+    def test_camera_size_below_one_pixel_exits_two_naming_it(self, tmp_path, capsys, name):
+        path = tiny_config(tmp_path, cameras={name: 0})
+        assert cli.main(["run-matrix", "--config", str(path)]) == 2
+        message = f"camera {name} must be >= 1 pixel, got 0"
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "section, name, value",
+        [("icp", "max_iterations", 0), ("selective", "huber_scale_m", -1)],
+    )
+    def test_non_positive_icp_value_exits_two_naming_it(
+        self, tmp_path, capsys, section, name, value
+    ):
+        doc = {name: value} if section == "icp" else {"icp": {name: value}}
+        path = tiny_config(tmp_path, **{section: doc})
+        assert cli.main(["run-matrix", "--config", str(path)]) == 2
+        message = f"ICP configuration value {name} must be positive"
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
     @pytest.mark.parametrize("count", [0, -1])
     def test_camera_count_below_one_exits_two(self, tmp_path, capsys, count):
         path = tiny_config(tmp_path, cameras={"count": count})
@@ -1023,6 +1043,23 @@ class TestLocalizeOnce:
         assert proc.stdout == ""
         assert proc.stderr.startswith(f"error: got {count} density images for a 3-camera rig")
 
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_image_count_is_checked_before_any_map_is_built(self, tmp_path, monkeypatch, count):
+        cfg_path = tiny_config(tmp_path)
+        cfg = load_config(cfg_path)
+        scan_path = self._scan_file(tmp_path, cfg)
+        image_args = self._image_args(tmp_path, cfg, assemble_scene(cfg), count)
+
+        def no_map(*args, **kwargs):
+            raise AssertionError("a map was sampled")
+
+        monkeypatch.setattr(experiment, "sample_model", no_map)
+        proc = run_cli(
+            "localize-once", "--config", str(cfg_path), "--scan", str(scan_path), *image_args
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: got {count} density images for a 3-camera rig\n"
+
     @pytest.mark.parametrize("variant", ["full", "weighted"])  # filtered: the test above
     @pytest.mark.parametrize("count", [1, 4])
     def test_image_count_is_checked_for_every_variant(self, tmp_path, variant, count):
@@ -1099,6 +1136,29 @@ class TestLocalizeOnce:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["outcome"] == "localized"
+
+    @pytest.mark.parametrize("variant", SCAN_METHODS)
+    def test_weight_column_changes_nothing(self, tmp_path, variant):
+        """`full` localizes with unit weights, and `filtered` and `weighted`
+        derive their weights from `d`: a scan file's `w` is never used."""
+        cfg_path = tiny_config(tmp_path)
+        cfg = load_config(cfg_path)
+        frame = generate_trial_sequence(
+            assemble_scene(cfg).scene, cfg.robot_pose, 1, cfg.lidar, cfg.cameras,
+            cfg.prism, cfg.oracle, seed=3,
+        )[0]
+        fused = fuse_scan(frame.scan, frame.images, cfg)
+        scan_path = tmp_path / "fused.csv"
+        outputs = set()
+        for weights in (None, np.zeros(len(fused)), np.ones(len(fused))):
+            write_scan_csv(Scan(fused.points, densities=fused.densities, weights=weights), scan_path)
+            proc = run_cli(
+                "localize-once", "--config", str(cfg_path), "--scan", str(scan_path),
+                "--scan-variant", variant,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
 
     @pytest.mark.parametrize(
         "pose, message",

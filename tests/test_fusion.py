@@ -45,6 +45,14 @@ class TestProjection:
         assert removed == 0
         assert fused.densities[0] == pytest.approx(0.7, abs=0)
 
+    def test_mis_sized_image_names_both_sizes(self):
+        cam = forward_camera(32, 24)
+        scan = Scan(points=np.array([[2.0, 0.0, 0.0]]))
+        image = DensityImage(values=np.full((3, 4), 0.5))
+        with pytest.raises(ValueError) as err:
+            fuse_densities(scan, [(image, cam, cam.extrinsic)])
+        assert str(err.value) == "density image is 4 x 3 pixels, its camera 32 x 24"
+
     def test_point_behind_all_cameras_removed(self):
         cam = forward_camera()
         scan = Scan(points=np.array([[-1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))

@@ -29,7 +29,7 @@ from planloc.model import (
     validate_reference_set,
 )
 
-from conftest import square_room_plan
+from conftest import normals_at, square_room_plan
 
 
 def single_wall_plan():
@@ -201,11 +201,9 @@ class TestSampling:
         tri = np.array([[[0, 0, 0], [np.sqrt(2), 0, 0], [0, np.sqrt(2), 0]]])
         surface = Surface("tri", tri)
         assert surface.area == pytest.approx(1.0, abs=1e-12)
-        from planloc.model import BuildingModel
-
         cloud = sample_model(BuildingModel((surface,)), 100.0, seed=0)
         assert 70 <= len(cloud) <= 130
-        np.testing.assert_allclose(cloud.normals, [[0, 0, 1]] * len(cloud), atol=1e-12)
+        np.testing.assert_allclose(normals_at(cloud, slice(None)), [[0, 0, 1]] * len(cloud), atol=1e-12)
 
     def test_total_count_tracks_area(self, room_model):
         density = 200.0
@@ -230,11 +228,12 @@ class TestSampling:
         ],
     )
     def test_sampled_bytes_pinned(self, room_model, density, seed, n, digest):
-        # Digests of the map as first recorded: a change to the sampler's
+        # Digests of the map as first recorded, over the points and each
+        # point's normal and surface index: a change to the sampler's
         # arithmetic or draw order shows here before it moves any output.
         cloud = sample_model(room_model, density, seed=seed)
         h = hashlib.sha256()
-        for arr in (cloud.points, cloud.normals, cloud.surface_index):
+        for arr in (cloud.points, normals_at(cloud, slice(None)), surface_of(cloud)):
             h.update(arr.tobytes())
         assert (len(cloud), h.hexdigest()) == (n, digest)
 
@@ -249,39 +248,63 @@ class TestSampling:
         finally:
             tracemalloc.stop()
         assert len(cloud) >= 200_000
-        returned = cloud.points.nbytes + cloud.normals.nbytes + cloud.surface_index.nbytes
-        assert peak < 1.5 * returned
+        assert peak < 1.5 * (cloud.points.nbytes + cloud.triangle.nbytes)
+
+    def test_map_holds_28_bytes_per_point_and_a_normal_per_triangle(self, room_model):
+        """Float64 points and an int32 triangle index per point; the normals
+        live once per plan triangle, in the model's table."""
+        cloud = sample_model(room_model, 50.0, seed=42)
+        arrays = [v for v in vars(cloud).values() if isinstance(v, np.ndarray)]
+        assert sum(a.nbytes for a in arrays) == 28 * len(cloud)
+        assert cloud.triangle.dtype == np.int32
+        n_triangles = sum(len(s.triangles) for s in room_model.surfaces)
+        assert cloud.model.triangle_normals.shape == (n_triangles, 3)
+        assert cloud.model.triangle_surface.shape == (n_triangles,)
+
+    def test_triangle_tables_are_the_surfaces_own(self, room_model):
+        normals = room_model.triangle_normals
+        np.testing.assert_array_equal(normals, np.concatenate([s.normals for s in room_model.surfaces]))
+        owners = [room_model.surface_ids[i] for i in room_model.triangle_surface]
+        assert owners == [s.id for s in room_model.surfaces for _ in s.triangles]
+        for table in (normals, room_model.triangle_surface):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
 
     def test_deterministic_under_seed(self, room_model):
         a = sample_model(room_model, 50.0, seed=42)
         b = sample_model(room_model, 50.0, seed=42)
         np.testing.assert_array_equal(a.points, b.points)
-        np.testing.assert_array_equal(a.surface_index, b.surface_index)
+        np.testing.assert_array_equal(a.triangle, b.triangle)
 
     def test_points_lie_on_surfaces(self, room_model):
         cloud = sample_model(room_model, 30.0, seed=2)
-        floor_mask = np.array(
-            [room_model.surface_ids[i] == "floor" for i in cloud.surface_index]
-        )
+        floor_mask = surface_of(cloud) == room_model.surface_ids.index("floor")
         assert np.max(np.abs(cloud.points[floor_mask, 2])) < 1e-12
 
     def test_subset_by_surface(self, room_model):
         cloud = sample_model(room_model, 50.0, seed=3)
         sub = cloud.subset(["floor"])
         assert 0 < len(sub) < len(cloud)
-        assert all(cloud.surface_ids[i] == "floor" for i in sub.surface_index)
+        assert all(room_model.surface_ids[i] == "floor" for i in surface_of(sub))
         with pytest.raises(UnknownSurfaceIdError):
             cloud.subset(["missing"])
 
 
+def surface_of(cloud: MapCloud) -> np.ndarray:
+    """Index into `cloud.model.surface_ids` of each point's surface."""
+    return cloud.model.triangle_surface[cloud.triangle]
+
+
+ONE_TRIANGLE = BuildingModel((Surface("s", [[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]]),))
+
+
 def unit_cloud(**changes) -> dict:
-    """Arguments of a valid four-point, one-surface MapCloud, with `changes`
-    applied."""
+    """Arguments of a valid four-point MapCloud on a one-triangle model, with
+    `changes` applied."""
     args = {
         "points": np.arange(12.0).reshape(4, 3),
-        "normals": np.tile([0.0, 0.0, 1.0], (4, 1)),
-        "surface_index": np.zeros(4, dtype=np.int32),
-        "surface_ids": ("s",),
+        "triangle": np.zeros(4, dtype=np.int32),
+        "model": ONE_TRIANGLE,
     }
     args.update(changes)
     return args
@@ -294,60 +317,41 @@ class TestMapCloud:
         with pytest.raises(ValueError, match="finite"):
             MapCloud(**args)
 
-    def test_nan_normal_rejected(self):
-        args = unit_cloud()
-        args["normals"][1] = np.nan
-        with pytest.raises(ValueError, match="unit length"):
-            MapCloud(**args)
-
-    def test_off_unit_normal_rejected(self):
-        args = unit_cloud()
-        args["normals"][3] *= 1.0 + 1e-6
-        with pytest.raises(ValueError, match="unit length"):
-            MapCloud(**args)
-
     @pytest.mark.parametrize(
         "changes",
         [
-            {"points": np.zeros((2, 2)), "normals": np.eye(2)},
+            {"points": np.zeros((2, 2)), "triangle": np.zeros(2, dtype=np.int32)},
             {"points": np.zeros(4)},
-            {"normals": np.zeros((4, 3, 1)) + np.array([[0.0], [0.0], [1.0]])},
+            {"triangle": np.zeros((4, 1), dtype=np.int32)},
+            {"triangle": np.zeros(4)},
         ],
-        ids=["two_columns", "flat_points", "three_dim_normals"],
+        ids=["two_columns", "flat_points", "two_dim_triangle", "float_triangle"],
     )
     def test_arrays_not_shaped_n_by_3_rejected(self, changes):
-        args = unit_cloud(**changes)
-        args["surface_index"] = np.zeros(len(args["points"]), dtype=np.int32)
         with pytest.raises(ValueError, match="shaped"):
-            MapCloud(**args)
+            MapCloud(**unit_cloud(**changes))
 
     @pytest.mark.parametrize("bad", [5, 1, -1, 2**32])
-    def test_surface_index_out_of_range_rejected(self, bad):
-        args = unit_cloud(surface_index=np.array([0, bad, 0, 0], dtype=np.int64))
-        with pytest.raises(ValueError, match="index its surface ids"):
+    def test_triangle_out_of_range_rejected(self, bad):
+        args = unit_cloud(triangle=np.array([0, bad, 0, 0], dtype=np.int64))
+        with pytest.raises(ValueError, match="index its model's triangles"):
             MapCloud(**args)
 
     def test_subset_keeps_rows_in_order(self, room_model):
         cloud = sample_model(room_model, 20.0, seed=4)
         wanted = ["wall_c", "floor"]
         sub = cloud.subset(wanted)
-        rows = np.flatnonzero(
-            [cloud.surface_ids[i] in wanted for i in cloud.surface_index]
-        )
+        rows = np.flatnonzero([room_model.surface_ids[i] in wanted for i in surface_of(cloud)])
         np.testing.assert_array_equal(sub.points, cloud.points[rows])
-        np.testing.assert_array_equal(sub.normals, cloud.normals[rows])
-        np.testing.assert_array_equal(sub.surface_index, cloud.surface_index[rows])
-        assert sub.surface_ids == cloud.surface_ids
+        np.testing.assert_array_equal(sub.triangle, cloud.triangle[rows])
+        assert sub.model is cloud.model
 
-    def test_subset_checks_no_row_again(self, room_model, monkeypatch):
-        """A subset's rows passed its parent's checks; it runs none."""
+    def test_subset_goes_through_the_checked_constructor(self, room_model, monkeypatch):
         cloud = sample_model(room_model, 20.0, seed=4)
-
-        def checked(self):
-            raise AssertionError("subset checked its rows again")
-
-        monkeypatch.setattr(MapCloud, "__post_init__", checked)
-        assert len(cloud.subset(["floor"])) > 0
+        calls, check = [], MapCloud.__post_init__
+        monkeypatch.setattr(MapCloud, "__post_init__", lambda c: calls.append(c) or check(c))
+        sub = cloud.subset(["floor"])
+        assert len(calls) == 1 and calls[0] is sub
 
     def test_arrays_are_read_only_views(self, room_model):
         """A MapIndex's kd-tree shares `points`, so no write may reach it;
@@ -357,7 +361,7 @@ class TestMapCloud:
         assert np.shares_memory(cloud.points, args["points"])
         sub = sample_model(room_model, 20.0, seed=4).subset(["floor"])
         for arrays in (cloud, sub):
-            for name in ("points", "normals", "surface_index"):
+            for name in ("points", "triangle"):
                 with pytest.raises(ValueError, match="read-only"):
                     getattr(arrays, name)[0] = 0
 

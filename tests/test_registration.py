@@ -8,7 +8,7 @@ from planloc import registration
 from planloc.experiment import assemble_scene, load_config
 from planloc.fusion import Scan, weights_linear
 from planloc.geometry import RigidTransform, compose, invert, pose_delta, rotvec_to_matrix
-from planloc.model import MapCloud, make_box_surface, sample_model
+from planloc.model import BuildingModel, MapCloud, make_box_surface, sample_model
 from planloc.registration import (
     FailureReason,
     IcpConfig,
@@ -27,7 +27,7 @@ from planloc.registration import (
 )
 from planloc.sensor_sim import LidarSpec, Scene, raycast_scan
 
-from conftest import pose_to_plane_cost, random_rotvec
+from conftest import normals_at, pose_to_plane_cost, random_rotvec
 from test_acceptance import deviation_config
 
 
@@ -61,7 +61,7 @@ def scan_from_map(cloud: MapCloud, pose: RigidTransform, n: int, seed: int) -> S
 def shifted_map(cloud: MapCloud, offset) -> MapIndex:
     """Index of `cloud` moved by `offset`: a reference map the full map disagrees with."""
     moved = cloud.points + np.asarray(offset)
-    return MapIndex(MapCloud(moved, cloud.normals, cloud.surface_index, cloud.surface_ids))
+    return MapIndex(MapCloud(moved, cloud.triangle, cloud.model))
 
 
 def irls_icp(scan: Scan, map_index: MapIndex, init: RigidTransform, cfg: IcpConfig) -> IcpResult:
@@ -83,7 +83,7 @@ def irls_icp(scan: Scan, map_index: MapIndex, init: RigidTransform, cfg: IcpConf
             return IcpResult(transform, "starved", iteration, residual_rms, n_corr)
         p = world[active]
         m = map_index.cloud.points[idx[active]]
-        nrm = map_index.cloud.normals[idx[active]]
+        nrm = normals_at(map_index.cloud, idx[active])
         w = weights[active]
         residuals = np.einsum("ij,ij->i", p - m, nrm)
         irls = _kernel_weights(residuals, cfg.huber_scale_m)
@@ -148,7 +148,7 @@ class TestIcpConfig:
     @pytest.mark.parametrize("value", [np.nan, 0, -1.0])
     @pytest.mark.parametrize("name", FIELDS)
     def test_refuses_nan_and_non_positive_values(self, name, value):
-        with pytest.raises(ValueError, match="must be positive"):
+        with pytest.raises(ValueError, match=f"^ICP configuration value {name} must be positive$"):
             IcpConfig(**{name: value})
 
     def test_gate_may_be_infinite(self):
@@ -172,16 +172,15 @@ class TestMapIndex:
         assert not valid.any()
 
     def test_rejects_empty_cloud(self):
-        empty = MapCloud(
-            np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0, dtype=np.int32), ()
-        )
+        empty = cloud_of(np.zeros((0, 3)))
         with pytest.raises(ValueError):
             MapIndex(empty)
 
 
 def cloud_of(points: np.ndarray) -> MapCloud:
-    normals = np.tile([0.0, 0.0, 1.0], (len(points), 1))
-    return MapCloud(points, normals, np.zeros(len(points), dtype=np.int32), ("s",))
+    """`points` as a map, each on the first triangle of a unit box."""
+    box = BuildingModel((make_box_surface("s", [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),))
+    return MapCloud(points, np.zeros(len(points), dtype=np.int32), box)
 
 
 def brute_force(cloud_points: np.ndarray, queries: np.ndarray):
@@ -416,7 +415,7 @@ class TestIcp:
         idx, valid = room_index.query(world, 0.5)
         p = world[valid]
         m = room_index.cloud.points[idx[valid]]
-        n = room_index.cloud.normals[idx[valid]]
+        n = normals_at(room_index.cloud, idx[valid])
         w = np.ones(len(p))
         residuals = np.einsum("ij,ij->i", p - m, n)
         jac = residual_jacobian(p, n)
@@ -434,7 +433,7 @@ class TestIcp:
         ).apply(scan.points)
         idx, valid = room_index.query(world, 0.5)
         p, m = world[valid], room_index.cloud.points[idx[valid]]
-        n = room_index.cloud.normals[idx[valid]]
+        n = normals_at(room_index.cloud, idx[valid])
         w = rng.uniform(0.1, 1.0, size=len(p))
         jac, residuals = residual_jacobian(p, n), np.einsum("ij,ij->i", p - m, n)
         base = gauss_newton_step(jac, residuals, w)
@@ -608,7 +607,7 @@ class TestNewtonStep:
     def _matches(self, room_cloud, n, seed, offsets):
         """n map points moved off their surface by `offsets` along the normal."""
         pick = np.random.default_rng(seed).choice(len(room_cloud), size=n, replace=False)
-        m, nrm = room_cloud.points[pick], room_cloud.normals[pick]
+        m, nrm = room_cloud.points[pick], normals_at(room_cloud, pick)
         return m + offsets[:, None] * nrm, nrm, offsets
 
     def test_equals_gauss_newton_when_all_residuals_are_inliers(self, room_cloud):

@@ -451,6 +451,13 @@ def test_camera_rig_refuses_a_degenerate_field_of_view(hfov_deg):
         default_camera_rig(hfov_deg=hfov_deg)
 
 
+@pytest.mark.parametrize("size", [0, -3])
+@pytest.mark.parametrize("name", ["width", "height"])
+def test_camera_rig_refuses_a_size_below_one_pixel(name, size):
+    with pytest.raises(ValueError, match=f"camera {name} must be >= 1 pixel, got {size}"):
+        default_camera_rig(**{name: size})
+
+
 def facing_camera(width=64, height=48) -> CameraSpec:
     (cam,) = default_camera_rig(count=1, width=width, height=height, mount=(0, 0, 0))
     return cam
@@ -844,6 +851,11 @@ class TestFileFormats:
     def test_scan_refuses_scores_outside_unit_interval(self, name, values):
         with pytest.raises(ValueError, match=rf"{name} must lie in \[0, 1\]"):
             Scan([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], **{name: values})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_scan_refuses_non_finite_points(self, bad):
+        with pytest.raises(ValueError, match="points must be finite"):
+            Scan([[1.0, 2.0, 3.0], [4.0, bad, 6.0]])
 
     @pytest.mark.parametrize("header", ["x,y,z,class", "x,y,z,d,w"])
     def test_header_only_scan_csv_is_empty(self, tmp_path, header):
