@@ -21,6 +21,12 @@ EPS_PARALLEL = 1e-3
 
 MIN_TRIANGLE_AREA = 1e-12
 
+# A triangle lies in a plane when its three corners lie within this distance
+# of it. Every point of the triangle then does, and so does every map point
+# sampled on it, up to rounding: well inside the 1e-9 m slack of the
+# registration's certificates.
+COPLANAR_M = 1e-10
+
 
 class ModelError(Exception):
     """Base for building-model errors."""
@@ -97,6 +103,36 @@ class Surface:
 
 
 @dataclass(frozen=True)
+class PlaneTable:
+    """The distinct planes of a model's triangles: a unit normal and an
+    offset per plane (n . x + d = 0 on it), and the plane of every triangle.
+
+    A plane takes the normal and offset of its first triangle. A later
+    triangle joins it when the triangle's three corners lie within
+    COPLANAR_M of it, whichever way the triangle faces: a wall box's bottom
+    face lies in the floor's plane. A residual n . x + d then changes sign
+    with the face, which a point-to-plane fit cannot tell.
+    """
+
+    normals: np.ndarray  # (P, 3) unit
+    offsets: np.ndarray  # (P,)
+    of_triangle: np.ndarray  # (T,) int32
+
+    @classmethod
+    def of(cls, corners: np.ndarray, normals: np.ndarray) -> "PlaneTable":
+        """Group triangles (`corners` (T, 3, 3), unit `normals` (T, 3))."""
+        offsets = -np.einsum("ij,ij->i", corners[:, 0], normals)
+        plane = np.full(len(normals), -1, dtype=np.int32)
+        first: list[int] = []
+        for t in range(len(normals)):
+            if plane[t] < 0:
+                on = np.abs(corners @ normals[t] + offsets[t]).max(axis=1) <= COPLANAR_M
+                plane[on & (plane < 0)] = plane[t] = len(first)
+                first.append(t)
+        return cls(_frozen(normals[first]), _frozen(offsets[first]), _frozen(plane))
+
+
+@dataclass(frozen=True)
 class BuildingModel:
     """Collection of named surfaces in one frame (the plan origin)."""
 
@@ -122,6 +158,12 @@ class BuildingModel:
         """(T,) int32 index of every triangle's surface."""
         counts = [len(s.normals) for s in self.surfaces]
         return _frozen(np.repeat(np.arange(len(counts), dtype=np.int32), counts))
+
+    @cached_property
+    def planes(self) -> PlaneTable:
+        """The planes of the triangles, surfaces in order."""
+        corners = np.concatenate([s.triangles for s in self.surfaces])
+        return PlaneTable.of(corners, self.triangle_normals)
 
     def get(self, surface_id: str) -> Surface:
         for s in self.surfaces:
@@ -203,11 +245,24 @@ class Deviation:
 class MapCloud:
     """Sampled point map: each point and the index of the plan triangle it
     lies on, into `model`'s per-triangle tables (`triangle_normals`,
-    `triangle_surface`), which every cloud of that model shares."""
+    `triangle_surface`, `planes`), which every cloud of that model shares.
+
+    Every point lies on its triangle, up to rounding: within 1e-9 m of the
+    triangle's plane. Registration measures a match by the plane of its map
+    point, so it cannot see a point moved off its triangle. `sample_model`
+    builds clouds that way and a test checks it; nothing checks it here,
+    since that would cost a pass over every point at each set-up.
+
+    A cloud made by `subset` records its `parent` cloud and the model
+    triangles it `kept` ((T,) bool): it holds exactly the parent's points on
+    those triangles, in order. Any other cloud has neither.
+    """
 
     points: np.ndarray  # (N, 3) finite
     triangle: np.ndarray  # (N,) int32 index into the model's triangles
     model: BuildingModel
+    parent: "MapCloud | None" = field(default=None, init=False, repr=False, compare=False)
+    kept: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -229,10 +284,14 @@ class MapCloud:
 
     def subset(self, surface_ids: Iterable[str]) -> "MapCloud":
         """The points on the named surfaces, in order, on the same model."""
-        kept = self.model.subset(surface_ids).surface_ids  # raises on an unknown id
-        keep = np.array([sid in kept for sid in self.model.surface_ids], dtype=bool)
-        mask = keep[self.model.triangle_surface][self.triangle]
-        return MapCloud(self.points[mask], self.triangle[mask], self.model)
+        ids = self.model.subset(surface_ids).surface_ids  # raises on an unknown id
+        keep = np.array([sid in ids for sid in self.model.surface_ids], dtype=bool)
+        kept = _frozen(keep[self.model.triangle_surface])
+        mask = kept[self.triangle]
+        cloud = MapCloud(self.points[mask], self.triangle[mask], self.model)
+        object.__setattr__(cloud, "parent", self)
+        object.__setattr__(cloud, "kept", kept)
+        return cloud
 
 
 # ---------------------------------------------------------------------------

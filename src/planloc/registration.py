@@ -3,12 +3,14 @@ list of ICP stages whose outcome follows from one table of stop causes.
 
 The ICP objective is
 
-    argmin_T  sum_i  w_i * c[ (T(p_i) - m_i) . n(m_i) ]
+    argmin_T  sum_i  w_i * c[ n_i . T(p_i) + d_i ]
 
-where m_i is the nearest map point to the transformed scan point, n(m_i) its
-surface normal, w_i the per-point scan weight, and c the Huber cost at scale
-s (Huber 1964). A residual is at most the distance to its match, so with s at
-or above the correspondence gate c is the squared cost. Each iteration
+where (n_i, d_i) is the plane of m_i, the nearest map point to the
+transformed scan point, w_i the per-point scan weight, and c the Huber cost
+at scale s (Huber 1964). Every map point lies on its plan triangle, so the
+residual is (T(p_i) - m_i) . n_i up to rounding, and at most the distance to
+the match; so with s at or above the correspondence gate c is the squared
+cost. Each iteration
 re-matches, forms the residuals and their Jacobian once, and takes one step
 over a left-multiplied twist increment (rotation via the exponential map): a
 Newton step of the Huber cost (gradient of the clipped residuals, Hessian of
@@ -27,6 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -38,6 +41,7 @@ from .sensor_sim import Scan
 
 class FailureReason(str, enum.Enum):
     FULL_ICP_DIVERGED = "full_icp_diverged"
+    TOO_FEW_FULL_MAP_MATCHES = "too_few_full_map_matches"
     SELECTIVE_ICP_DIVERGED = "selective_icp_diverged"
     TOO_FEW_REFERENCE_MATCHES = "too_few_reference_matches"
     REJECTED_INCONSISTENT = "rejected_inconsistent"
@@ -64,8 +68,9 @@ class IcpConfig:
 class IcpResult:
     """One ICP run and why it stopped (`stop`): its last step fell below both
     epsilons ("converged"), fewer than `min_correspondences` weighted points
-    matched ("starved"), or it ran all `max_iterations` with its robust cost
-    not rising ("budget_exhausted") or rising ("diverged") on the last one."""
+    matched ("starved"), or it ran all `max_iterations` and its last step did
+    not raise ("budget_exhausted") or raised ("diverged") the robust cost
+    over the matches it was taken for."""
 
     transform: RigidTransform
     stop: str
@@ -118,57 +123,76 @@ class LocalizationResult:
 _LEAF_SIZE = 32
 
 
-# How far past the gate a certificate's search looks for two map points, so
-# that an out-of-gate point's certificate outlasts a move. On the benchmark's
-# room requests ICP searched 57 % of its query rows with 1 cm, 52.4 % with
-# 5 cm and 52.2 % with 10 or 20 cm; the search time did not separate them.
+# How far past the gate a search looks: d1 is clipped there, so that an
+# out-of-gate point's certificate outlasts a move of up to this margin. On
+# four seed-101 benchmark operations each, plane certificates searched 22.0 %
+# of once_replay's query rows (site_sim 22.6 %) with 1 cm, 20.9 % (21.5 %)
+# with 2 cm, 18.5 % (19.6 %) with 5 cm and 18.5 % (19.1 %) with 10 or 20 cm;
+# single timed runs did not separate 5 cm from the wider margins.
 _REACH_MARGIN_M = 0.05
 # Slack for rounding: a certificate must hold by more than this, so a point
-# whose nearest map point lies this close to the gate, or to a tie, is left
-# to a plain gated search.
+# whose nearest map point lies this close to the gate, or whose nearest other
+# plane lies this close to a tie, is left to a plain gated search. It also
+# covers a map point's distance from its triangle's plane (model.COPLANAR_M).
 _ROUNDING_M = 1e-9
 
 
 class NearestCertificates:
-    """What the last search found for each query point of one ICP run: where
-    the point was (`anchor`), its nearest map point (`nearest`, at distance
-    `d1`) and the distance `d2` to its second-nearest, both clipped to the
-    gate plus `_REACH_MARGIN_M`. Kept by the run, never by the map: two
-    threads may query one map at once."""
+    """What the last search found for each query point of one localization:
+    where the point was (`anchor`), the triangle of its nearest map point
+    (`triangle`, -1 when none lay within reach), the distance `d1` to that
+    point, clipped to the gate plus `_REACH_MARGIN_M`, and the distance
+    `d_other` from the anchor to the nearest other plane of the map (0 where
+    it is not needed). `index` and `gate` say what they were found on. Kept
+    by the run, never by the map: two threads may query one map at once."""
 
     def __init__(self):
-        self.start(0, None)
+        self.start(None, 0, None)
 
-    def start(self, n: int, gate: float | None) -> None:
-        """Forget everything: n rows at `gate`, none of them searched yet."""
-        self.gate = gate
+    def start(self, index: "MapIndex | None", n: int, gate: float | None) -> None:
+        """Forget everything: n rows of `index` at `gate`, none searched yet."""
+        self.index, self.gate = index, gate
         self.anchor = np.zeros((n, 3))
-        self.nearest = np.zeros(n, dtype=np.intp)
-        self.d1 = np.zeros(n)  # d1 = d2 = 0 proves nothing
-        self.d2 = np.zeros(n)
+        self.triangle = np.full(n, -1, dtype=np.int32)
+        self.d1 = np.zeros(n)  # d1 = d_other = 0 proves nothing
+        self.d_other = np.zeros(n)
 
     def decide(self, shift, gate: float, rows=slice(None)):
         """(inside, outside) for `rows` moved by `shift` since their search.
 
-        A point is inside the gate, at its old nearest map point, when
-        2 shift < d2 - d1 (no other map point can have come closer) and
-        d1 + shift < gate. It is outside when d1 - shift > gate (no map point
-        can have come within the gate). Each must hold by `_ROUNDING_M`.
-        d2 is infinite only under an infinite gate, and d1 never is.
+        Every map point of another plane lies on that plane, so it is at
+        least d_other - shift from the moved point, and the nearest point of
+        the matched plane at most d1 + shift. So a point is inside the gate,
+        with its nearest map point on the same plane, when
+        2 shift < d_other - d1 and d1 + shift < gate. It is outside when
+        d1 - shift > gate (no map point can have come within the gate). Each
+        must hold by `_ROUNDING_M`. d1 is never infinite.
         """
-        d1, d2 = self.d1[rows], self.d2[rows]
-        inside = (2.0 * shift + _ROUNDING_M < d2 - d1) & (d1 + shift < gate - _ROUNDING_M)
+        d1 = self.d1[rows]
+        inside = (2.0 * shift + _ROUNDING_M < self.d_other[rows] - d1) & (
+            d1 + shift < gate - _ROUNDING_M
+        )
         return inside, d1 - shift > gate + _ROUNDING_M
 
 
 class MapIndex:
-    """Exact nearest-neighbor index over a map cloud (kd-tree backed)."""
+    """Exact nearest-neighbor index over a map cloud (kd-tree backed), and
+    the planes of the map's points, for certified queries."""
 
     def __init__(self, cloud: MapCloud):
         if len(cloud) == 0:
             raise ValueError("cannot index an empty map cloud")
         self.cloud = cloud
         self._tree = cKDTree(cloud.points, leafsize=_LEAF_SIZE, balanced_tree=False)
+
+    @cached_property
+    def _planes(self) -> list:
+        """(plane, unit normal, offset) of each plane of the model that holds
+        points of this map; found on the first certified query, not at
+        set-up. Two threads may both find it: they find the same."""
+        planes, kept = self.cloud.model.planes, self.cloud.kept
+        held = np.unique(planes.of_triangle[slice(None) if kept is None else kept])
+        return [(p, planes.normals[p], planes.offsets[p]) for p in held]
 
     def __len__(self) -> int:
         return len(self.cloud)
@@ -182,34 +206,87 @@ class MapIndex:
         """Nearest map point per query point.
 
         Returns (index (N,), valid (N,)); invalid entries index point 0 and
-        must be masked by the caller. Given the `certificates` of earlier
-        queries of the same rows at the same gate, it searches the tree only
-        for the rows they cannot decide, and updates them; the answer is the
-        same as without.
+        must be masked by the caller. Given `certificates`, it returns
+        (plane (N,), valid (N,)) instead: the plane, in the model's `planes`
+        table, of each point's nearest map point (0 where invalid). It then
+        searches the tree only for the rows the certificates of earlier
+        queries of the same rows cannot decide, and updates them; the answer
+        is that of a fresh search.
         """
         if certificates is None:
             return self._gated(points, max_distance)
         gate, cert = max_distance, certificates
-        if cert.gate != gate or len(cert.anchor) != len(points):
-            cert.start(len(points), gate)
+        self._adopt(cert, len(points), gate)
         moved = points - cert.anchor
         shift = np.sqrt(np.einsum("ij,ij->i", moved, moved))
         inside, outside = cert.decide(shift, gate)
         rows = np.flatnonzero(~(inside | outside))
+        # A row last found inside the gate is searched within the gate: a
+        # plain search, whose answer stands. Any other row is searched within
+        # reach, and its answer stands when its new certificate decides it.
+        was_in = (cert.triangle[rows] >= 0) & (cert.d1[rows] < gate)
+        reached = rows[~was_in]
+        if len(reached):
+            self._search(cert, points, reached, gate + _REACH_MARGIN_M, gate)
+            inside[reached], outside[reached] = cert.decide(0.0, gate, reached)
+        # The rest, and a row at the gate or about as near another plane as
+        # its nearest point: the tree gates squared distances, and may break
+        # an exact tie otherwise.
+        plain = np.concatenate([rows[was_in], reached[~(inside | outside)[reached]]])
+        if len(plain):
+            inside[plain] = self._search(cert, points, plain, gate, gate)
+        return np.where(inside, self.cloud.model.planes.of_triangle[cert.triangle], 0), inside
+
+    def _search(self, cert: NearestCertificates, points, rows, bound: float, gate: float):
+        """Search `rows` of `points` for a map point nearer than `bound`, and
+        certify them for `gate`; whether one was found."""
+        at = points[rows]
+        dist, near = self._tree.query(at, k=1, distance_upper_bound=bound)
+        found = near < len(self)
+        triangle = np.full(len(rows), -1, dtype=np.int32)
+        triangle[found] = self.cloud.triangle[near[found]]
+        d1 = np.minimum(dist, bound)
+        cert.anchor[rows], cert.triangle[rows], cert.d1[rows] = at, triangle, d1
+        cert.d_other[rows] = self._other_plane(at, triangle, d1, gate)
+        return found
+
+    def _adopt(self, cert: NearestCertificates, n: int, gate: float) -> None:
+        """Make `cert` certify n rows of this map at `gate`: keep it, take it
+        over from the full-map stage, or start it afresh.
+
+        Taken over only from the cloud this map's cloud is a `subset` of,
+        which holds all of this map's points. A row whose nearest point there
+        is one of this map's keeps it, at the same distance, with d_other
+        recomputed over this map's planes. Every other row keeps d1 as a
+        lower bound: it can prove the row outside the gate, never inside.
+        """
+        old = cert.index
+        if old is self and cert.gate == gate and len(cert.d1) == n:
+            return
+        if old is None or old.cloud is not self.cloud.parent or len(cert.d1) != n:
+            cert.start(self, n, gate)
+            return
+        cert.index, cert.gate = self, gate
+        found = cert.triangle >= 0
+        keep = np.zeros(n, dtype=bool)
+        keep[found] = self.cloud.kept[cert.triangle[found]]
+        cert.triangle[~keep] = -1
+        cert.d_other = self._other_plane(cert.anchor, cert.triangle, cert.d1, gate)
+
+    def _other_plane(self, points, triangle, d1, gate: float) -> np.ndarray:
+        """Distance from each point to the nearest plane of this map other
+        than its `triangle`'s; 0 where d1 rules out a match inside `gate`.
+        A running minimum over the planes: no rows x planes temporaries."""
+        d_other = np.zeros(len(points))
+        rows = np.flatnonzero((triangle >= 0) & (d1 < gate - _ROUNDING_M))
         if len(rows):
-            reach = gate + _REACH_MARGIN_M
-            dist, near = self._tree.query(points[rows], k=2, distance_upper_bound=reach)
-            np.minimum(dist, reach, out=dist)
-            cert.anchor[rows], cert.nearest[rows] = points[rows], near[:, 0]
-            cert.d1[rows], cert.d2[rows] = dist[:, 0], dist[:, 1]
-            inside[rows], outside[rows] = cert.decide(0.0, gate, rows)
-        idx = np.where(inside, cert.nearest, 0)
-        # a near-tie or a distance at the gate: the tree gates squared
-        # distances, and a two-point search may break an exact tie otherwise
-        redo = np.flatnonzero(~(inside | outside))
-        if len(redo):
-            idx[redo], inside[redo] = self._gated(points[redo], gate)
-        return idx, inside
+            at, own = points[rows], self.cloud.model.planes.of_triangle[triangle[rows]]
+            nearest = np.full(len(rows), np.inf)
+            for plane, normal, offset in self._planes:
+                dist = np.abs(at @ normal + offset)
+                np.minimum(nearest, dist, out=nearest, where=own != plane)
+            d_other[rows] = nearest
+        return d_other
 
     def _gated(self, points: np.ndarray, max_distance: float):
         dist, idx = self._tree.query(points, k=1, distance_upper_bound=max_distance)
@@ -279,16 +356,20 @@ def point_to_plane_icp(
     map_index: MapIndex,
     init: RigidTransform,
     cfg: IcpConfig = IcpConfig(),
+    certificates: NearestCertificates | None = None,
 ) -> IcpResult:
     """Iteratively align a (possibly weighted) scan to the map.
 
-    Correspondences are nearest map points within the gating distance;
-    convergence means the last increment fell below both epsilon thresholds
+    Each point within the gating distance of the map matches the plane of
+    its nearest map point, and its residual is that plane's n . p + d.
+    Convergence means the last increment fell below both epsilon thresholds
     while at least `min_correspondences` weighted matches were active. One
     map query per iteration, of the points with weight > 0 alone; it
-    searches the kd-tree only for the points whose certificates from earlier
-    iterations do not prove the answer unchanged. Never raises on divergence
-    or starvation; inspect `stop`.
+    searches the kd-tree only for the points whose `certificates` (fresh
+    ones unless given) do not prove the answer unchanged. A run out of
+    budget diverged when its last step raised the robust cost over the
+    matches that step was taken for. Never raises on divergence or
+    starvation; inspect `stop`.
     """
     points = scan.points
     weights = scan.weights if scan.weights is not None else np.ones(len(points))
@@ -299,21 +380,20 @@ def point_to_plane_icp(
         return IcpResult(transform, "starved", 0, residual_rms, 0)
     positive = weights > 0
     points, weights = points[positive], weights[positive]
-    map_points, map_triangle = map_index.cloud.points, map_index.cloud.triangle
-    triangle_normals = map_index.cloud.model.triangle_normals
-    certificates = NearestCertificates()
-    cost = math.inf
+    planes = map_index.cloud.model.planes
+    if certificates is None:
+        certificates = NearestCertificates()
     for iteration in range(1, cfg.max_iterations + 1):
         world = transform.apply(points)
-        idx, valid = map_index.query(world, cfg.max_correspondence_m, certificates)
+        plane, valid = map_index.query(world, cfg.max_correspondence_m, certificates)
         n_corr = int(valid.sum())
         if n_corr < cfg.min_correspondences:
             return IcpResult(transform, "starved", iteration, residual_rms, n_corr)
         p = world[valid]
-        m = map_points[idx[valid]]
-        nrm = triangle_normals[map_triangle[idx[valid]]]
+        matched = plane[valid]
+        nrm, offset = planes.normals[matched], planes.offsets[matched]
         w = weights[valid]
-        residuals = np.einsum("ij,ij->i", p - m, nrm)
+        residuals = np.einsum("ij,ij->i", p, nrm) + offset
         jac = residual_jacobian(p, nrm)
         step = huber_newton_step(jac, residuals, w, cfg.huber_scale_m)
         if step is None:
@@ -321,13 +401,15 @@ def point_to_plane_icp(
             step = gauss_newton_step(jac, residuals, w * irls)
         w_sum = float(w.sum())
         residual_rms = math.sqrt(float((w * residuals**2).sum()) / w_sum)
-        prev_cost = cost
-        cost = float((w * kernel_cost(residuals, cfg.huber_scale_m)).sum())
         omega, v = step[:3], step[3:]
         transform = compose(RigidTransform(rotvec_to_matrix(omega), v), transform)
         if np.linalg.norm(v) < cfg.translation_eps_m and np.linalg.norm(omega) < cfg.rotation_eps_rad:
             return IcpResult(transform, "converged", iteration, residual_rms, n_corr)
-    stop = "budget_exhausted" if cost <= prev_cost else "diverged"
+    # the last step's effect on its own matches: the same planes at the new pose
+    after = np.einsum("ij,ij->i", transform.apply(points[valid]), nrm) + offset
+    cost = float((w * kernel_cost(residuals, cfg.huber_scale_m)).sum())
+    cost_after = float((w * kernel_cost(after, cfg.huber_scale_m)).sum())
+    stop = "budget_exhausted" if cost_after <= cost else "diverged"
     return IcpResult(transform, stop, cfg.max_iterations, residual_rms, n_corr)
 
 
@@ -337,7 +419,7 @@ SCAN_METHODS = ("full", "filtered", "weighted")
 # The failure of a localization whose stage i (0: the full map, 1: the
 # reference map) stopped with cause `stop`, by (i, stop).
 _STAGE_FAILURES = {
-    (0, "starved"): FailureReason.FULL_ICP_DIVERGED,
+    (0, "starved"): FailureReason.TOO_FEW_FULL_MAP_MATCHES,
     (0, "diverged"): FailureReason.FULL_ICP_DIVERGED,
     (0, "budget_exhausted"): FailureReason.FULL_ICP_BUDGET_EXHAUSTED,
     (1, "starved"): FailureReason.TOO_FEW_REFERENCE_MATCHES,
@@ -385,7 +467,9 @@ def localize(
                         refinement when it moved further than the translation
                         or rotation threshold from the full alignment
     The stages stop at the first that does not converge, and `conclude` gives
-    the outcome. `ref_map` must be built from a validated reference set.
+    the outcome. One set of certificates serves every stage, so the reference
+    stage starts from what the full-map stage's searches proved. `ref_map`
+    must be built from a validated reference set.
     """
     icp_method, scan_method = method
     if icp_method not in ICP_METHODS or scan_method not in SCAN_METHODS:
@@ -400,9 +484,9 @@ def localize(
     elif len(scan):
         filtered = scan_method == "filtered"
         scan = weights_binary(scan, delta) if filtered else weights_linear(scan, delta_prime)
-    results = []
+    results, certificates = [], NearestCertificates()
     for map_index, icp_cfg in stages:
-        results.append(point_to_plane_icp(scan, map_index, prev, icp_cfg))
+        results.append(point_to_plane_icp(scan, map_index, prev, icp_cfg, certificates))
         if not results[-1].converged:
             break
         prev = results[-1].transform

@@ -45,6 +45,21 @@ def square_room_plan(side: float = 6.0, thickness: float = 0.2, height: float = 
     )
 
 
+def yawed_room_plan(yaw_deg: float = 31.0):
+    """square_room_plan turned by `yaw_deg` about the z axis: no wall face
+    is axis-aligned, so plane equations round differently from points."""
+    c, s = np.cos(np.deg2rad(yaw_deg)), np.sin(np.deg2rad(yaw_deg))
+    turn = np.array([[c, -s], [s, c]])
+    plan = square_room_plan()
+    return Floorplan2D(
+        walls=tuple(
+            WallSegment(turn @ w.start, turn @ w.end, w.thickness, w.id) for w in plan.walls
+        ),
+        wall_height=plan.wall_height,
+        floor_outline=plan.floor_outline @ turn.T,
+    )
+
+
 def normals_at(cloud: MapCloud, rows) -> np.ndarray:
     """Unit normals of the map points `rows`: their triangles' normals."""
     return cloud.model.triangle_normals[cloud.triangle[rows]]

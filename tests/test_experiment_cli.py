@@ -731,7 +731,7 @@ class TestSharedStage:
 
     @pytest.mark.parametrize(
         "extra", [{}, {"initial_pose": {"translation": [50.0, 50.0, 0.45]}}],
-        ids=["localized", "full_icp_diverged"],
+        ids=["localized", "far_start"],
     )
     def test_full_records_equal_direct_localization(self, tmp_path, extra):
         cfg = load_config(tiny_config(tmp_path, n_scans=1, **extra))
@@ -900,7 +900,7 @@ class TestConcurrentLocalization:
     )
     @pytest.mark.parametrize(
         "extra", [{}, {"initial_pose": {"translation": [50.0, 50.0, 0.45]}}],
-        ids=["localized", "full_icp_diverged"],
+        ids=["localized", "far_start"],
     )
     def test_records_equal_sequential_loop(
         self, tmp_path, monkeypatch, fast_thread_switching, methods, extra

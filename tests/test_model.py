@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+from pathlib import Path
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from planloc.experiment import load_floorplan, load_reference_set
 from planloc.geometry import RigidTransform
 from planloc.model import (
+    COPLANAR_M,
     EPS_PARALLEL,
     BuildingModel,
     Deviation,
@@ -29,7 +31,7 @@ from planloc.model import (
     validate_reference_set,
 )
 
-from conftest import normals_at, square_room_plan
+from conftest import normals_at, square_room_plan, yawed_room_plan
 
 
 def single_wall_plan():
@@ -281,6 +283,16 @@ class TestSampling:
         floor_mask = surface_of(cloud) == room_model.surface_ids.index("floor")
         assert np.max(np.abs(cloud.points[floor_mask, 2])) < 1e-12
 
+    @pytest.mark.parametrize("name", ["room", "site", "yawed"])
+    def test_every_point_lies_on_its_triangle_plane(self, site_model, name):
+        """The invariant registration's plane residuals rest on (MapCloud)."""
+        model = plan_models(site_model)[name]
+        cloud = sample_model(model, 20.0 if name == "site" else 200.0, seed=5)
+        corners = np.concatenate([s.triangles for s in model.surfaces])[cloud.triangle]
+        normals = model.triangle_normals[cloud.triangle]
+        off = np.einsum("ij,ij->i", cloud.points - corners[:, 0], normals)
+        assert len(cloud) > 1000 and np.abs(off).max() < 1e-9
+
     def test_subset_by_surface(self, room_model):
         cloud = sample_model(room_model, 50.0, seed=3)
         sub = cloud.subset(["floor"])
@@ -288,6 +300,84 @@ class TestSampling:
         assert all(room_model.surface_ids[i] == "floor" for i in surface_of(sub))
         with pytest.raises(UnknownSurfaceIdError):
             cloud.subset(["missing"])
+
+
+@pytest.fixture(scope="module")
+def site_model():
+    """The plan of the benchmark's `site_sim` workload at seed 101: 4 x 4
+    rooms on jittered wall lines."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import workloads
+
+        plan, _, _ = workloads.site_documents(np.random.default_rng(101), workloads.FULL)
+    walls = tuple(WallSegment(w["start"], w["end"], w["thickness"], w["id"]) for w in plan["walls"])
+    return extrude_floorplan(Floorplan2D(walls, plan["wall_height"], plan["floor"]))
+
+
+def plan_models(site_model) -> dict:
+    return {
+        "room": extrude_floorplan(square_room_plan()),
+        "site": site_model,
+        "yawed": extrude_floorplan(yawed_room_plan()),
+    }
+
+
+class TestPlaneTable:
+    def test_room_planes(self, room_model):
+        planes = room_model.planes
+        assert planes.normals.shape == (14, 3) and planes.offsets.shape == (14,)
+        assert planes.of_triangle.shape == (50,) and planes.of_triangle.dtype == np.int32
+        # the floor and the bottom faces of the four wall boxes: one plane
+        bottoms = room_model.triangle_normals[:, 2] < -0.5
+        floor = room_model.triangle_surface == room_model.surface_ids.index("floor")
+        assert len(set(planes.of_triangle[bottoms | floor])) == 1
+
+    @pytest.mark.parametrize("name", ["room", "site", "yawed"])
+    def test_triangles_lie_in_their_plane_and_planes_are_distinct(self, site_model, name):
+        model = plan_models(site_model)[name]
+        planes = model.planes
+        corners = np.concatenate([s.triangles for s in model.surfaces])
+        normals, offsets = planes.normals[planes.of_triangle], planes.offsets[planes.of_triangle]
+        off = np.einsum("tkj,tj->tk", corners, normals) + offsets[:, None]
+        assert np.abs(off).max() <= COPLANAR_M
+        np.testing.assert_allclose(np.linalg.norm(planes.normals, axis=1), 1.0, atol=1e-15)
+        # a triangle lies in no plane but its own
+        for p in range(len(planes.offsets)):
+            others = corners[planes.of_triangle != p]
+            dist = np.abs(others @ planes.normals[p] + planes.offsets[p]).max(axis=1)
+            assert (dist > COPLANAR_M).all()
+        assert {"room": 14, "site": 26, "yawed": 14}[name] == len(planes.offsets)
+
+    def test_coplanar_faces_group_and_faces_a_millimetre_apart_do_not(self):
+        # three boxes on the floor, two 1 m tall and one 1.001 m tall
+        model = BuildingModel((
+            make_box_surface("a", [0.0, 0.0, 0.5], [1.0, 1.0, 1.0]),
+            make_box_surface("b", [3.0, 0.0, 0.5], [1.0, 1.0, 1.0], yaw_rad=0.3),
+            make_box_surface("c", [6.0, 0.0, 0.5005], [1.0, 1.0, 1.001]),
+        ))
+        planes = model.planes
+        up = model.triangle_normals[:, 2] > 0.5
+        down = model.triangle_normals[:, 2] < -0.5
+        top_a, top_b, top_c = planes.of_triangle[up].reshape(3, 2)
+        assert top_a[0] == top_a[1] == top_b[0] == top_b[1] != top_c[0] == top_c[1]
+        assert len(set(planes.of_triangle[down])) == 1  # all three bottoms at z = 0
+        # a's six faces, b's four yawed sides, and c's faces at x = 5.5 and
+        # 6.5 and its top; c's faces at y = +-0.5 lie in a's planes
+        assert len(planes.offsets) == 6 + 4 + 3
+
+    def test_plane_of_a_flipped_face_negates_the_residual(self, room_model):
+        planes = room_model.planes
+        floor = room_model.surface_ids.index("floor")
+        t = int(np.flatnonzero(room_model.triangle_surface == floor)[0])
+        n = planes.normals[planes.of_triangle[t]]
+        assert abs(n @ room_model.triangle_normals[t]) == 1.0
+
+    def test_table_is_read_only(self, room_model):
+        planes = room_model.planes
+        for table in (planes.normals, planes.offsets, planes.of_triangle):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
 
 
 def surface_of(cloud: MapCloud) -> np.ndarray:

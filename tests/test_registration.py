@@ -8,7 +8,9 @@ from planloc import registration
 from planloc.experiment import assemble_scene, load_config
 from planloc.fusion import Scan, weights_linear
 from planloc.geometry import RigidTransform, compose, invert, pose_delta, rotvec_to_matrix
-from planloc.model import BuildingModel, MapCloud, make_box_surface, sample_model
+from planloc.model import (
+    BuildingModel, MapCloud, extrude_floorplan, make_box_surface, sample_model,
+)
 from planloc.registration import (
     FailureReason,
     IcpConfig,
@@ -27,7 +29,9 @@ from planloc.registration import (
 )
 from planloc.sensor_sim import LidarSpec, Scene, raycast_scan
 
-from conftest import normals_at, pose_to_plane_cost, random_rotvec
+from conftest import (
+    normals_at, pose_to_plane_cost, random_rotvec, square_room_plan, yawed_room_plan,
+)
 from test_acceptance import deviation_config
 
 
@@ -58,10 +62,24 @@ def scan_from_map(cloud: MapCloud, pose: RigidTransform, n: int, seed: int) -> S
     return Scan(points=invert(pose).apply(cloud.points[pick]))
 
 
+def moved_cloud(cloud: MapCloud, transform: RigidTransform) -> MapCloud:
+    """`cloud` moved by `transform` together with the surfaces of its model,
+    so that its points stay on their triangles."""
+    model = BuildingModel(tuple(s.transformed(transform) for s in cloud.model.surfaces))
+    return MapCloud(transform.apply(cloud.points), cloud.triangle, model)
+
+
 def shifted_map(cloud: MapCloud, offset) -> MapIndex:
     """Index of `cloud` moved by `offset`: a reference map the full map disagrees with."""
-    moved = cloud.points + np.asarray(offset)
-    return MapIndex(MapCloud(moved, cloud.triangle, cloud.model))
+    return MapIndex(moved_cloud(cloud, RigidTransform(np.eye(3), offset)))
+
+
+# The test room 500 m from the world origin. A step turns the room about the
+# origin, so a step that turns it by 0.01 rad moves it ~36 mm further than
+# its linearization predicts: the step overshoots its own matches.
+FAR = RigidTransform(np.eye(3), [500.0, 500.0, 0.0])
+FAR_POSE = compose(FAR, ROBOT_POSE)
+FAR_START = compose(FAR_POSE, RigidTransform.from_rotvec([0, 0, 0.01], [0, 0, 0]))
 
 
 def irls_icp(scan: Scan, map_index: MapIndex, init: RigidTransform, cfg: IcpConfig) -> IcpResult:
@@ -177,10 +195,22 @@ class TestMapIndex:
             MapIndex(empty)
 
 
+# A 4 x 4 x 0.4 m slab: two large faces 0.4 m apart and four narrow ones.
+SLAB = BuildingModel((make_box_surface("slab", [2.0, 2.0, 0.2], [4.0, 4.0, 0.4]),))
+
+
 def cloud_of(points: np.ndarray) -> MapCloud:
-    """`points` as a map, each on the first triangle of a unit box."""
-    box = BuildingModel((make_box_surface("s", [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),))
-    return MapCloud(points, np.zeros(len(points), dtype=np.int32), box)
+    """`points`, each on a face of SLAB, as a map of it: each point with the
+    slab triangle that holds it."""
+    corners, normals = SLAB.surfaces[0].triangles, SLAB.triangle_normals
+    q = np.asarray(points, dtype=float)[:, None, :]
+    holds = np.abs(np.einsum("ntk,tk->nt", q - corners[:, 0], normals)) < 1e-12
+    for k in range(3):
+        a, b = corners[:, k], corners[:, (k + 1) % 3]
+        holds &= np.einsum("ntk,tk->nt", np.cross(b - a, q - a), normals) >= -1e-12
+    if not holds.any(axis=1).all():
+        raise ValueError("a point lies on no face of the slab")
+    return MapCloud(q[:, 0], holds.argmax(axis=1).astype(np.int32), SLAB)
 
 
 def brute_force(cloud_points: np.ndarray, queries: np.ndarray):
@@ -189,25 +219,39 @@ def brute_force(cloud_points: np.ndarray, queries: np.ndarray):
     return np.sqrt((diff * diff).sum(axis=2))
 
 
-def query_clouds() -> dict[str, np.ndarray]:
+def query_clouds() -> dict[str, MapCloud]:
+    """Maps whose points lie on their triangles: all over the slab, on one
+    face of it, each point three times, a single point, the same points on
+    both large faces (a point midway ties between two planes), and the test
+    room (wall junctions, and the wall boxes' bottoms in the floor's plane)."""
     rng = np.random.default_rng(21)
+    surface = sample_model(SLAB, 80.0, seed=21).points
     planar = np.column_stack([rng.uniform(0, 4, (3000, 2)), np.zeros(3000)])
     return {
-        "uniform": rng.uniform(0, 4, (3000, 3)),
-        "planar": planar,
-        "duplicates": np.repeat(rng.uniform(0, 4, (700, 3)), 3, axis=0),
-        "single": np.array([[1.0, 2.0, 3.0]]),
+        "slab": cloud_of(surface),
+        "planar": cloud_of(planar),
+        "duplicates": cloud_of(np.repeat(surface[:700], 3, axis=0)),
+        "single": cloud_of(np.array([[1.0, 2.0, 0.4]])),
+        "mirrored": cloud_of(np.concatenate([planar[:1500], planar[:1500] + [0.0, 0.0, 0.4]])),
+        "room": sample_model(extrude_floorplan(square_room_plan()), 20.0, seed=25),
     }
 
 
+def around(points: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n points uniform in the bounding box of `points`, widened by 0.5 m."""
+    return rng.uniform(points.min(axis=0) - 0.5, points.max(axis=0) + 0.5, (n, 3))
+
+
 class CountingTree:
-    """A kd-tree that counts the rows it searches."""
+    """A kd-tree that counts the rows it searches, and records each search's
+    row count and distance bound."""
 
     def __init__(self, tree):
-        self.tree, self.rows = tree, 0
+        self.tree, self.rows, self.searches = tree, 0, []
 
     def query(self, points, *args, **kwargs):
         self.rows += len(points)
+        self.searches.append((len(points), kwargs.get("distance_upper_bound")))
         return self.tree.query(points, *args, **kwargs)
 
 
@@ -216,11 +260,11 @@ class TestMapIndexAgainstBruteForce:
 
     @pytest.mark.parametrize("name", list(query_clouds()))
     def test_nearest_points_and_gate_match_brute_force(self, name):
-        points = query_clouds()[name]
-        index = MapIndex(cloud_of(points))
+        cloud = query_clouds()[name]
+        points, index = cloud.points, MapIndex(cloud)
         rng = np.random.default_rng(22)
         queries = np.concatenate(
-            [rng.uniform(-0.5, 4.5, (400, 3)), points[rng.integers(len(points), size=50)]]
+            [around(points, rng, 400), points[rng.integers(len(points), size=50)]]
         )
         dist = brute_force(points, queries)
         nearest = dist.min(axis=1)
@@ -233,8 +277,8 @@ class TestMapIndexAgainstBruteForce:
             assert (idx[~valid] == 0).all()
 
     def test_points_just_inside_and_just_outside_the_gate(self):
-        points = query_clouds()["planar"]
-        index = MapIndex(cloud_of(points))
+        cloud = query_clouds()["planar"]
+        points, index = cloud.points, MapIndex(cloud)
         pick = np.random.default_rng(23).choice(len(points), size=200, replace=False)
         up = np.array([0.0, 0.0, 1.0])
         inside = points[pick] + up * self.GATE * (1 - 1e-9)
@@ -243,6 +287,19 @@ class TestMapIndexAgainstBruteForce:
         assert valid.all() and np.array_equal(idx, pick)
         _, valid = index.query(outside, self.GATE)
         assert not valid.any()
+
+    def test_a_tie_between_two_planes_goes_to_the_gated_search(self):
+        cloud = query_clouds()["mirrored"]
+        index = MapIndex(cloud)
+        tree = index._tree = CountingTree(index._tree)
+        midway = cloud.points[:100] + [0.0, 0.0, 0.2]  # as near the slab's top as its bottom
+        plane, valid = index.query(midway, self.GATE, NearestCertificates())
+        idx, fresh_valid = index.query(midway, self.GATE)
+        assert valid.all() and fresh_valid.all()
+        np.testing.assert_array_equal(plane, cloud.model.planes.of_triangle[cloud.triangle[idx]])
+        # searched within reach, then each row again by the gated search
+        (_, reach), second, _ = tree.searches
+        assert reach > self.GATE and second == (100, self.GATE)
 
     def _walk(self, rng: np.random.Generator) -> list[RigidTransform]:
         """Poses of a seeded walk: one large first step, then steps that
@@ -269,18 +326,23 @@ class TestMapIndexAgainstBruteForce:
     @pytest.mark.parametrize("name", list(query_clouds()))
     def test_certified_answers_match_fresh_queries_along_a_walk(self, name, gate):
         """At every pose of the walk, the answer kept with certificates is
-        that of a fresh query: validity, and the index even at ties, which
-        go to the same gated search."""
-        points = query_clouds()[name]
-        index = MapIndex(cloud_of(points))
+        that of a fresh query: validity, and the plane of the nearest map
+        point, also at a tie between two planes, which goes to the same
+        gated search."""
+        cloud = query_clouds()[name]
+        points, plane_of = cloud.points, cloud.model.planes.of_triangle
+        index = MapIndex(cloud)
         tree = index._tree = CountingTree(index._tree)
         rng = np.random.default_rng(24)
         poses = self._walk(rng)
         inside = self._at_gate(points, rng, 1 - 4e-9)  # 1e-9 m inside the gate
         outside = self._at_gate(points, rng, 1 + 4e-9)
         queries = np.concatenate([
-            rng.uniform(-0.5, 4.5, (400, 3)),
+            around(points, rng, 400),
             points[rng.integers(len(points), size=50)],
+            # 0.2 m above a map point; midway between the large faces of
+            # "mirrored", a tie between two planes at the first pose
+            points[rng.integers(len(points), size=50)] + [0.0, 0.0, 0.2],
             self._at_gate(points, rng, 1.0),  # on the gate at the first pose, up to rounding
             invert(poses[-1]).apply(np.concatenate([inside, outside])),
         ])
@@ -289,11 +351,11 @@ class TestMapIndexAgainstBruteForce:
         for pose in poses:
             world = pose.apply(queries)
             rows = tree.rows
-            idx, valid = index.query(world, gate, certificates)
+            plane, valid = index.query(world, gate, certificates)
             searched.append(tree.rows - rows)
-            fresh_idx, fresh_valid = index.query(world, gate)
+            idx, fresh_valid = index.query(world, gate)
             np.testing.assert_array_equal(valid, fresh_valid)
-            np.testing.assert_array_equal(idx, fresh_idx)
+            np.testing.assert_array_equal(plane, np.where(valid, plane_of[cloud.triangle[idx]], 0))
             seen.append(valid)
         seen = np.array(seen)
         if gate < np.inf:
@@ -301,8 +363,7 @@ class TestMapIndexAgainstBruteForce:
             ends = seen[-1, len(queries) - len(inside) - len(outside):]
             assert len(inside) and len(outside)
             assert ends[: len(inside)].all() and not ends[len(inside):].any()
-        if name != "duplicates":  # a map point at a tie certifies nothing
-            assert sum(searched) < len(poses) * len(queries)
+        assert sum(searched) < len(poses) * len(queries)
 
 
 class TestJacobian:
@@ -563,6 +624,24 @@ class TestHuberNewton:
             assert_bit_identical(point_to_plane_icp(*run), irls_icp(*run))
 
 
+    def test_plane_residuals_round_like_point_residuals_on_a_yawed_plan(self):
+        # no face of this plan is axis-aligned, so the plane's n . p + d and
+        # the matched point's (p - m) . n round differently: the poses may
+        # differ in rounding digits, the matches may not
+        turn = RigidTransform.from_rotvec([0, 0, np.deg2rad(31.0)], [0, 0, 0])
+        cloud = sample_model(extrude_floorplan(yawed_room_plan()), 300.0, seed=7)
+        index, pose = MapIndex(cloud), compose(turn, ROBOT_POSE)
+        scan = scan_from_map(cloud, pose, 500, seed=2)
+        start = compose(pose, RigidTransform.from_rotvec([0.004, -0.003, 0.008], [0.02, -0.01, 0.015]))
+        res = point_to_plane_icp(scan, index, start, at_the_gate(IcpConfig()))
+        ref = irls_icp(scan, index, start, at_the_gate(IcpConfig()))
+        assert (res.stop, res.iterations, res.correspondences) == (
+            ref.stop, ref.iterations, ref.correspondences
+        )
+        assert np.abs(res.transform.translation - ref.transform.translation).max() < 1e-12
+        assert np.abs(res.transform.rotation - ref.transform.rotation).max() < 1e-12
+
+
 class TestCertifiedQueries:
     """point_to_plane_icp searches the kd-tree only for the points whose
     nearest map point may have changed, with the result of searching all."""
@@ -580,10 +659,55 @@ class TestCertifiedQueries:
         monkeypatch.setattr(room_index, "_tree", tree)
         res = point_to_plane_icp(*run)
         assert_bit_identical(res, ref)
-        # 11,759 of 23,010 rows here (10 iterations of 2,301 weighted points):
-        # all in the first two, then 91, 80, 72, 50, 18, 1, 0.1 and 0 %
+        # 5,729 of 23,010 rows here (10 iterations of 2,301 weighted points),
+        # per iteration 115, 77, 8.8, 13, 13, 7.2, 4.4, 3.5, 3.5 and 3.5 %:
+        # the first searches each row within reach of the gate, and again
+        # within the gate where another plane lies as near as its nearest
+        # point; later ones search mostly points off the map (clutter) that
+        # lie nearer another plane than their nearest map point
         assert res.iterations >= 8
-        assert tree.rows < 0.6 * res.iterations * int((weights > 0).sum())
+        assert tree.rows < 0.3 * res.iterations * int((weights > 0).sum())
+
+    def test_reference_stage_takes_over_the_full_stage_certificates(
+        self, cluttered_room, room_index, monkeypatch
+    ):
+        scan, ref_map, start = cluttered_room
+        assert ref_map.cloud.parent is room_index.cloud
+        cfg = SelectiveConfig(selective_icp=REF_STAGE)
+        tree = CountingTree(ref_map._tree)
+        monkeypatch.setattr(ref_map, "_tree", tree)
+        handed = localize(scan, room_index, ref_map, start, ("selective", "full"), cfg=cfg)
+        handed_rows, tree.rows = tree.rows, 0
+        full = point_to_plane_icp(scan, room_index, start, cfg.full_icp)
+        fresh = point_to_plane_icp(scan, ref_map, full.transform, cfg.selective_icp)
+        assert_bit_identical(handed.stages[1], fresh)
+        # 1,776 rows against 4,053 from fresh certificates, 7 iterations each
+        assert handed_rows < 0.5 * tree.rows
+
+    @pytest.mark.parametrize("kind", ["resampled", "shifted", "copied"])
+    def test_reference_map_not_a_subset_starts_afresh(
+        self, cluttered_room, room_index, kind, monkeypatch
+    ):
+        """A reference map that is not a `subset` of the full map's cloud
+        takes over no certificate: same result, same rows searched."""
+        scan, ref_map, start = cluttered_room
+        room, refs = room_index.cloud, ["floor", "wall_a", "wall_b"]
+        clouds = {
+            "resampled": lambda: sample_model(room.model, 300.0, seed=8).subset(refs),
+            "shifted": lambda: moved_cloud(room, RigidTransform(np.eye(3), [0.01, 0, 0])).subset(
+                refs
+            ),
+            "copied": lambda: MapCloud(ref_map.cloud.points, ref_map.cloud.triangle, room.model),
+        }
+        other = MapIndex(clouds[kind]())
+        tree = CountingTree(other._tree)
+        monkeypatch.setattr(other, "_tree", tree)
+        cfg = SelectiveConfig(selective_icp=REF_STAGE)
+        handed = localize(scan, room_index, other, start, ("selective", "full"), cfg=cfg)
+        handed_rows, tree.rows = tree.rows, 0
+        fresh = point_to_plane_icp(scan, other, handed.stages[0].transform, cfg.selective_icp)
+        assert_bit_identical(handed.stages[1], fresh)
+        assert handed_rows == tree.rows
 
     def test_huber_stages_match_searching_every_point(
         self, cluttered_room, room_index, c4_frame, monkeypatch
@@ -598,7 +722,10 @@ class TestCertifiedQueries:
         ]
         certified = [point_to_plane_icp(*run) for run in runs]
         query = MapIndex.query
-        monkeypatch.setattr(MapIndex, "query", lambda self, pts, gate, *_: query(self, pts, gate))
+        monkeypatch.setattr(
+            MapIndex, "query",
+            lambda self, pts, gate, _: query(self, pts, gate, NearestCertificates()),
+        )
         for run, res in zip(runs, certified):
             assert_bit_identical(res, point_to_plane_icp(*run))
 
@@ -630,8 +757,10 @@ class TestNewtonStep:
 
 
 class TestBudget:
-    # from this start the match set grows on the second iteration, so the
-    # summed robust cost rises there
+    # from this start the match set grows on the second iteration (422 ->
+    # 447 points), so the summed robust cost of the second iteration is
+    # above the first's; but over its own 447 matches the second step
+    # lowers it (4.944 -> 4.397)
     START = compose(ROBOT_POSE, RigidTransform.from_rotvec([0, 0, 0.3], [0.3, 0, 0]))
 
     def _scan(self, room_cloud):
@@ -641,19 +770,27 @@ class TestBudget:
         scan = self._scan(room_cloud)
         one = point_to_plane_icp(scan, room_index, self.START, IcpConfig(max_iterations=1))
         two = point_to_plane_icp(scan, room_index, self.START, IcpConfig(max_iterations=2))
-        assert (one.stop, two.stop) == ("budget_exhausted", "diverged")
+        assert (one.stop, two.stop) == ("budget_exhausted", "budget_exhausted")
+        assert (one.correspondences, two.correspondences) == (422, 447)
+        far = MapIndex(moved_cloud(room_cloud, FAR))
+        overshoot = point_to_plane_icp(scan, far, FAR_START, IcpConfig(max_iterations=1))
+        assert overshoot.stop == "diverged"
 
     def test_full_stage_failure_reasons(self, room_cloud, room_index):
         scan = self._scan(room_cloud)
+        far = MapIndex(moved_cloud(room_cloud, FAR))
+        runs = [(room_index, self.START, 1), (room_index, self.START, 2), (far, FAR_START, 1)]
         reasons = [
             localize(
-                scan, room_index, None, self.START, ("full", "full"),
+                scan, full_map, None, start, ("full", "full"),
                 cfg=SelectiveConfig(full_icp=IcpConfig(max_iterations=k)),
             ).failure_reason
-            for k in (1, 2)
+            for full_map, start, k in runs
         ]
         assert reasons == [
-            FailureReason.FULL_ICP_BUDGET_EXHAUSTED, FailureReason.FULL_ICP_DIVERGED
+            FailureReason.FULL_ICP_BUDGET_EXHAUSTED,
+            FailureReason.FULL_ICP_BUDGET_EXHAUSTED,
+            FailureReason.FULL_ICP_DIVERGED,
         ]
 
     def test_selective_stage_budget_exhausted(self, cluttered_room, room_index):
@@ -665,19 +802,24 @@ class TestBudget:
         full, sel = res.stages
         assert full.converged and sel.iterations == 4
 
-    def test_selective_stage_diverged(self, room_cloud, room_index):
-        # against a reference map 0.57 m off, gated at 0.35 m, the reference
-        # stage's matches grow 414 -> 600 on its second iteration, so its
-        # summed robust cost rises there
-        scan = scan_from_map(room_cloud, ROBOT_POSE, 600, seed=12)
-        ref = shifted_map(room_cloud, [0.4, 0.4, 0.0])
-        cfg = SelectiveConfig(
-            selective_icp=IcpConfig(max_iterations=2, max_correspondence_m=0.35)
+    def test_selective_stage_diverged(self, room_cloud):
+        # far from the origin, against a reference map turned 0.01 rad about
+        # the room's middle, the reference stage's one step overshoots
+        far = moved_cloud(room_cloud, FAR)
+        middle = [503.0, 503.0, 0.0]
+        turn = compose(
+            RigidTransform.from_rotvec([0, 0, 0.01], middle),
+            RigidTransform(np.eye(3), -np.asarray(middle)),
         )
-        res = localize(scan, room_index, ref, ROBOT_POSE, ("selective", "full"), cfg=cfg)
+        ref = MapIndex(moved_cloud(far, turn).subset(["floor", "wall_a", "wall_b"]))
+        scan = self._scan(room_cloud)
+        cfg = SelectiveConfig(
+            selective_icp=IcpConfig(max_iterations=1, max_correspondence_m=0.35)
+        )
+        res = localize(scan, MapIndex(far), ref, FAR_POSE, ("selective", "full"), cfg=cfg)
         assert res.failure_reason is FailureReason.SELECTIVE_ICP_DIVERGED
-        _, sel = result_record(res, "selective", "full")["stages"]
-        assert sel["iterations"] == 2 and sel["matches"] == 600
+        full, sel = result_record(res, "selective", "full")["stages"]
+        assert full["matches"] == 500 and sel["iterations"] == 1
 
 
 class TestSelective:
@@ -737,12 +879,12 @@ class TestSelective:
         assert not res.localized
         assert res.failure_reason is FailureReason.TOO_FEW_REFERENCE_MATCHES
 
-    def test_full_stage_divergence_reported(self, room_cloud):
+    def test_full_stage_starvation_reported(self, room_cloud):
         full = MapIndex(room_cloud)
         ref = MapIndex(room_cloud.subset(["floor", "wall_a", "wall_b"]))
         scan = Scan(points=np.full((100, 3), 80.0))
         res = localize(scan, full, ref, RigidTransform.identity(), ("selective", "full"))
-        assert res.failure_reason is FailureReason.FULL_ICP_DIVERGED
+        assert res.failure_reason is FailureReason.TOO_FEW_FULL_MAP_MATCHES
         assert [stage.stop for stage in res.stages] == ["starved"]
 
 
@@ -802,7 +944,7 @@ class TestLocalizeDispatch:
         for scan_method in ("full", "filtered", "weighted"):
             res = localize(empty, room_index, None, ROBOT_POSE, ("full", scan_method))
             assert not res.localized
-            assert res.failure_reason is FailureReason.FULL_ICP_DIVERGED
+            assert res.failure_reason is FailureReason.TOO_FEW_FULL_MAP_MATCHES
 
 
 class TestResultRecord:
@@ -842,7 +984,7 @@ class TestResultRecord:
         record = result_record(res, "full", "full")
         assert record["outcome"] == "failed"
         assert record["transform"] is None
-        assert record["failure_reason"] == "full_icp_diverged"
+        assert record["failure_reason"] == "too_few_full_map_matches"
         assert record["stages"] == [{"iterations": 1, "matches": 0, "residual_m": 0.0}]
 
     def test_exactly_one_outcome_enforced(self):
