@@ -1,14 +1,18 @@
 """Experiment orchestration: the JSON input schema and its readers
 (configuration, with the plan, reference set and as-built scene a config
-names; pose files), map building, the 2x3 (icp x scan) method matrix over
+names; pose files), map building, the maps file that localize-once loads
+instead of building its maps, the 2x3 (icp x scan) method matrix over
 stationary trial sequences, and report emission.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
 import math
 import os
+import secrets
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +33,7 @@ from .model import (
     BuildingModel,
     Deviation,
     Floorplan2D,
+    MapCloud,
     ModelError,
     ReferenceSet,
     WallSegment,
@@ -422,6 +427,126 @@ def assemble_scene(cfg: ExperimentConfig) -> SceneBundle:
 
 
 # ---------------------------------------------------------------------------
+# The maps file: what `assemble_scene` builds for a config, saved by
+# localize-once in the config's out_dir and loaded by its later requests.
+# ---------------------------------------------------------------------------
+
+MAPS_FILE = "maps.bin"
+_MAPS_FORMAT = 1
+# The arrays of a maps file, in order, by dtype: the full map's points and
+# triangles, then the state of the full map's and the reference map's trees.
+_MAPS_DTYPES = (np.dtype(np.float64).str, np.dtype(np.int32).str, *2 * MapIndex._STATE_DTYPES)
+_ALIGN = 8  # bytes; the table and every array start at a multiple of it
+
+
+def _aligned(nbytes: int) -> int:
+    return -(-nbytes // _ALIGN) * _ALIGN
+
+
+def _maps_key(cfg: ExperimentConfig) -> bytes:
+    """SHA-256 of everything the maps of `assemble_scene` depend on, as a
+    maps file holds them: its format, numpy (the sampler's random streams),
+    scipy and the kd-tree build, each plan surface's id and triangles, the
+    reference ids, the map density and the seed."""
+    surfaces = cfg.plan.surfaces
+    head = [
+        _MAPS_FORMAT, np.__version__, MapIndex._STATE_FORMAT,
+        [[s.id, len(s.triangles)] for s in surfaces],
+        list(cfg.references.surface_ids), cfg.map_density_per_m2, cfg.seed,
+    ]
+    digest = hashlib.sha256(json.dumps(head).encode())
+    for s in surfaces:
+        digest.update(s.triangles.tobytes())
+    return digest.digest()
+
+
+def _save_maps(cfg: ExperimentConfig, key: bytes, bundle: SceneBundle) -> None:
+    """Write `bundle`'s maps to `cfg.out_dir / MAPS_FILE` under `key`.
+
+    The file holds the key, the SHA-256 of the rest, the byte length of a
+    JSON table of each array's [dtype, shape], the table, and the arrays'
+    raw bytes (`_MAPS_DTYPES`); the table and each array are padded to
+    `_ALIGN` bytes. It is written to a temporary file in out_dir (made
+    here), then renamed over the old one, so a reader sees either. A place
+    that cannot be written (OSError), or a tree that scipy lays out
+    otherwise than `MapIndex._export` expects, leaves no file."""
+    try:
+        arrays = [
+            bundle.full_map.cloud.points, bundle.full_map.cloud.triangle,
+            *bundle.full_map._export(), *bundle.ref_map._export(),
+        ]
+    except ValueError:
+        return
+    table = json.dumps([[a.dtype.str, list(a.shape)] for a in arrays]).encode()
+    parts = [len(table).to_bytes(8, "little"), table.ljust(_aligned(len(table)))]
+    for a in arrays:
+        parts += [a.data.cast("B"), bytes(_aligned(a.nbytes) - a.nbytes)]
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    out = Path(cfg.out_dir)
+    tmp = out / f".{MAPS_FILE}.{secrets.token_hex(8)}"
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "xb") as f:
+            f.writelines([key, digest.digest(), *parts])
+        os.replace(tmp, out / MAPS_FILE)
+    except OSError:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+
+
+def _load_maps(cfg: ExperimentConfig, key: bytes) -> SceneBundle | None:
+    """The maps that `_save_maps` wrote to `cfg.out_dir` under `key`, or None
+    when the file is missing or unreadable, holds another key, or fails a
+    check. scipy restores a tree's nodes unchecked, so the file must prove
+    itself first: its SHA-256, then every dtype and shape against the
+    plan's triangles and the reference count, the trees' point orders, and
+    scipy's state layout (`MapIndex._restore`). The arrays are views of one
+    read of the file; the trees read the map clouds' points."""
+    try:
+        with open(Path(cfg.out_dir) / MAPS_FILE, "rb") as f:
+            buf = np.empty(os.fstat(f.fileno()).st_size, dtype=np.uint8)
+            if f.readinto(buf) != len(buf):
+                return None
+    except OSError:
+        return None
+    if buf[:32].tobytes() != key or hashlib.sha256(buf[64:]).digest() != buf[32:64].tobytes():
+        return None
+    try:
+        points, triangle, *trees = _unpack(buf[64:])
+        cloud = MapCloud(points, triangle, cfg.plan)
+        ref = cloud.subset(cfg.references.surface_ids)
+        full_map, ref_map = MapIndex._restore(cloud, *trees[:4]), MapIndex._restore(ref, *trees[4:])
+    except ValueError:
+        return None
+    return SceneBundle(cfg.scene, full_map, ref_map)
+
+
+def _unpack(body: np.ndarray) -> list[np.ndarray]:
+    """Views of the arrays that a maps file's table lists in `body` (all
+    after the checksum), each of its `_MAPS_DTYPES` entry; ValueError when
+    the table lists others or the arrays do not fill `body` exactly."""
+    size = int.from_bytes(body[:8].tobytes(), "little")
+    table = json.loads(body[8 : 8 + size].tobytes())
+    if type(table) is not list or len(table) != len(_MAPS_DTYPES):
+        raise ValueError("unexpected maps file table")
+    arrays, at = [], 8 + _aligned(size)
+    for entry, dtype in zip(table, _MAPS_DTYPES):
+        if not (
+            type(entry) is list and len(entry) == 2 and entry[0] == dtype
+            and type(entry[1]) is list and all(type(n) is int and n >= 0 for n in entry[1])
+        ):
+            raise ValueError("unexpected maps file table")
+        nbytes = np.dtype(dtype).itemsize * math.prod(entry[1])
+        arrays.append(body[at : at + nbytes].view(dtype).reshape(entry[1]))
+        at += _aligned(nbytes)
+    if at != len(body):
+        raise ValueError("maps file size does not match its table")
+    return arrays
+
+
+# ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
@@ -582,7 +707,20 @@ def localize_once(
     `full` uses every point of the scan; `filtered` and `weighted` fuse the
     density images, one per rig camera in rig order, into the scan first, or
     without images need a scan that already carries densities. The image
-    count is checked before any map is built."""
+    count is checked before any map is built.
+
+    The maps come from `cfg.out_dir`'s maps file when it holds this
+    config's (`_load_maps`). Otherwise `assemble_scene` builds them, and
+    they are saved there once the localization has returned (`_save_maps`),
+    so a request that fails on its input writes nothing."""
     if images and len(images) != len(cfg.cameras):
         raise ValueError(f"got {len(images)} density images for a {len(cfg.cameras)}-camera rig")
-    return localize_scan(scan, images, assemble_scene(cfg), cfg, init, [method])[method]
+    key = _maps_key(cfg)
+    bundle = _load_maps(cfg, key)
+    built = bundle is None
+    if built:
+        bundle = assemble_scene(cfg)
+    result = localize_scan(scan, images, bundle, cfg, init, [method])[method]
+    if built:
+        _save_maps(cfg, key, bundle)
+    return result

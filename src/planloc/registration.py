@@ -29,9 +29,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
+import scipy
 from scipy.spatial import cKDTree
 
 from .fusion import weights_binary, weights_linear
@@ -121,6 +122,37 @@ class LocalizationResult:
 # faster and their trees built 1.3-1.7x faster than with scipy's default
 # median splits and 16-point leaves; nearest points and distances are equal.
 _LEAF_SIZE = 32
+_TREE_OPTIONS = {"leafsize": _LEAF_SIZE, "balanced_tree": False}
+
+# What `cKDTree.__getstate__` returns, in scipy's private layout, which
+# `MapIndex._export` and `MapIndex._restore` rely on: the node buffer, the
+# points, n, m, the leaf size, the points' upper and lower bounds, the
+# tree's order of the points, and two periodic box fields (None here).
+_STATE_KINDS = (
+    np.dtype("S1"), np.dtype(np.float64), int, int, int,
+    np.dtype(np.float64), np.dtype(np.float64), np.dtype(np.intp), None, None,
+)
+
+
+def _check_state(state: tuple) -> None:
+    """ValueError unless a tree's `__getstate__` is laid out as
+    `_STATE_KINDS` says: a numpy array of that dtype, an int, or None."""
+    def fits(item, kind) -> bool:
+        if isinstance(kind, np.dtype):
+            return isinstance(item, np.ndarray) and item.dtype == kind
+        return item is None if kind is None else type(item) is kind
+
+    if len(state) != len(_STATE_KINDS) or not all(map(fits, state, _STATE_KINDS)):
+        raise ValueError(f"unexpected kd-tree state layout (scipy {scipy.__version__})")
+
+
+@cache
+def _node_bytes() -> int:
+    """Bytes per node of this scipy's kd-trees, read off a one-point tree,
+    which is one node; ValueError when its state is laid out otherwise."""
+    state = cKDTree(np.zeros((1, 3)), **_TREE_OPTIONS).__getstate__()
+    _check_state(state)
+    return state[0].nbytes
 
 
 # How far past the gate a search looks: d1 is clipped there, so that an
@@ -179,11 +211,51 @@ class MapIndex:
     """Exact nearest-neighbor index over a map cloud (kd-tree backed), and
     the planes of the map's points, for certified queries."""
 
+    # What a saved tree state is valid for: this scipy and these options.
+    _STATE_FORMAT = f"scipy {scipy.__version__} cKDTree {_TREE_OPTIONS}"
+    # The dtypes of the arrays `_export` gives and `_restore` takes: the
+    # node buffer, the tree's order of the points, and their bounds.
+    _STATE_DTYPES = tuple(np.dtype(t).str for t in (np.uint8, np.intp, np.float64, np.float64))
+
     def __init__(self, cloud: MapCloud):
         if len(cloud) == 0:
             raise ValueError("cannot index an empty map cloud")
         self.cloud = cloud
-        self._tree = cKDTree(cloud.points, leafsize=_LEAF_SIZE, balanced_tree=False)
+        self._tree = cKDTree(cloud.points, **_TREE_OPTIONS)
+
+    def _export(self) -> tuple[np.ndarray, ...]:
+        """The arrays of this index's kd-tree, of `_STATE_DTYPES`, from which
+        `_restore` rebuilds it on the same cloud without building it; the
+        points are the cloud's. ValueError when scipy lays its state out
+        otherwise than this was written for."""
+        state = self._tree.__getstate__()
+        _check_state(state)
+        return state[0].view(np.uint8), state[7], state[5], state[6]
+
+    @classmethod
+    def _restore(cls, cloud: MapCloud, nodes, indices, maxes, mins) -> "MapIndex":
+        """The index that `_export` gave these arrays for, over `cloud`,
+        whose points the tree reads in place. scipy trusts the node buffer:
+        the caller must vouch for its bytes. The dtypes and shapes, the tree's
+        order of the points (a permutation of them) and scipy's state layout
+        are checked here; ValueError when one is wrong."""
+        n = len(cloud)
+        dtypes = tuple(a.dtype.str for a in (nodes, indices, maxes, mins))
+        if (
+            n == 0 or dtypes != cls._STATE_DTYPES
+            or nodes.ndim != 1 or len(nodes) == 0 or len(nodes) % _node_bytes()
+            or indices.shape != (n,) or maxes.shape != (3,) or mins.shape != (3,)
+            or indices.min() < 0 or indices.max() >= n  # bounds bincount's allocation
+            or not (np.bincount(indices, minlength=n) == 1).all()
+        ):
+            raise ValueError("kd-tree arrays do not fit the map cloud")
+        tree = cKDTree.__new__(cKDTree)
+        tree.__setstate__((
+            nodes.view("S1"), cloud.points, n, 3, _LEAF_SIZE, maxes, mins, indices, None, None
+        ))
+        index = cls.__new__(cls)
+        index.cloud, index._tree = cloud, tree
+        return index
 
     @cached_property
     def _planes(self) -> list:

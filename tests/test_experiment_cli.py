@@ -1,8 +1,11 @@
 import contextlib
 import dataclasses
+import hashlib
 import inspect
 import io
 import json
+import math
+import os
 import re
 import subprocess
 import sys
@@ -13,8 +16,10 @@ import numpy as np
 import pytest
 
 from conftest import src_env
+from test_registration import CountingTree
 from planloc import cli, experiment, registration, sensor_sim
 from planloc.experiment import (
+    MAPS_FILE,
     SCHEMA,
     ConfigError,
     METHOD_MATRIX,
@@ -27,7 +32,9 @@ from planloc.experiment import (
 from planloc.fusion import FusionConfig, fuse_densities
 from planloc.geometry import RigidTransform, compose
 from planloc.metrics import TrialRecord
-from planloc.registration import SCAN_METHODS, conclude, localize, result_record
+from planloc.registration import (
+    ICP_METHODS, SCAN_METHODS, MapIndex, conclude, localize, result_record,
+)
 from planloc.sensor_sim import (
     DensityImage,
     Scan,
@@ -100,6 +107,25 @@ def run_entry_point(*args):
     return subprocess.run(
         [sys.executable, "-m", "planloc", *args], capture_output=True, text=True, env=src_env()
     )
+
+
+def count_map_builds(monkeypatch) -> dict:
+    """Counts of the `sample_model` calls that scene assembly makes and of
+    the `MapIndex` builds, from now on."""
+    counts = {"sample_model": 0, "MapIndex": 0}
+    sample, index_init = experiment.sample_model, registration.MapIndex.__init__
+
+    def counted_sample(*args, **kwargs):
+        counts["sample_model"] += 1
+        return sample(*args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        counts["MapIndex"] += 1
+        index_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "sample_model", counted_sample)
+    monkeypatch.setattr(registration.MapIndex, "__init__", counted_init)
+    return counts
 
 
 def obj_vertices(path: Path) -> dict[str, np.ndarray]:
@@ -640,19 +666,7 @@ class TestBuildScene:
 
     def test_samples_no_map_and_builds_no_index(self, tmp_path, monkeypatch, capsys):
         path = tiny_config(tmp_path)
-        counts = {"sample_model": 0, "MapIndex": 0}
-        sample, index_init = experiment.sample_model, registration.MapIndex.__init__
-
-        def counted_sample(*args, **kwargs):
-            counts["sample_model"] += 1
-            return sample(*args, **kwargs)
-
-        def counted_init(self, *args, **kwargs):
-            counts["MapIndex"] += 1
-            index_init(self, *args, **kwargs)
-
-        monkeypatch.setattr(experiment, "sample_model", counted_sample)
-        monkeypatch.setattr(registration.MapIndex, "__init__", counted_init)
+        counts = count_map_builds(monkeypatch)
         assert cli.main(["build-scene", "--config", str(path)]) == 0
         assert "wall_a" in capsys.readouterr().out
         assert counts == {"sample_model": 0, "MapIndex": 0}
@@ -978,6 +992,7 @@ class TestLocalizeOnce:
         bad.write_text("not,a,scan\n1,2\n")
         proc = run_cli("localize-once", "--config", str(cfg_path), "--scan", str(bad))
         assert proc.returncode == 2
+        assert not (tmp_path / "out").exists()
 
     def test_failed_localization_exit_one(self, tmp_path):
         cfg_path = tiny_config(
@@ -1042,6 +1057,7 @@ class TestLocalizeOnce:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith(f"error: got {count} density images for a 3-camera rig")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("count", [2, 4])
     def test_image_count_is_checked_before_any_map_is_built(self, tmp_path, monkeypatch, count):
@@ -1200,6 +1216,7 @@ class TestLocalizeOnce:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == f"error: {pose_path}: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -1221,6 +1238,7 @@ class TestLocalizeOnce:
         assert exit_.value.code == 2
         err = capsys.readouterr().err
         assert f"error: argument {flag}: expected a finite number, got '{value}'" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("column, value", [(0, "nan"), (1, "inf"), (3, "nan")])
     def test_non_finite_scan_value_exits_two(self, tmp_path, column, value):
@@ -1269,3 +1287,188 @@ class TestLocalizeOnce:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.strip() == message
+        assert not (tmp_path / "out").exists()  # maps built, but saved only after localizing
+
+
+def maps_file_arrays(data: bytes) -> list[tuple[int, int]]:
+    """(offset, byte length) of each array of a maps file, by its table."""
+    size = int.from_bytes(data[64:72], "little")
+    spans, at = [], 72 + experiment._aligned(size)
+    for dtype, shape in json.loads(data[72 : 72 + size]):
+        nbytes = np.dtype(dtype).itemsize * math.prod(shape)
+        spans.append((at, nbytes))
+        at += experiment._aligned(nbytes)
+    return spans
+
+
+def flipped(data: bytes, at: int) -> bytes:
+    """`data` with one bit of byte `at` flipped."""
+    return data[:at] + bytes([data[at] ^ 1]) + data[at + 1 :]
+
+
+def loads_saved_maps(config: Path, overrides: dict | None = None) -> bool:
+    """Whether the config's maps file holds its maps and passes every check.
+    (Two saves of one config differ in the tree nodes' pointer fields.)"""
+    cfg = load_config(config, overrides)
+    return experiment._load_maps(cfg, experiment._maps_key(cfg)) is not None
+
+
+def repeated_point(data: bytes, at: int) -> bytes:
+    """`data` with the first entry of the tree order at `at` set to the
+    second, so it is no permutation, and its checksum made to match."""
+    edited = bytearray(data)
+    edited[at : at + 8] = data[at + 8 : at + 16]
+    edited[32:64] = hashlib.sha256(edited[64:]).digest()
+    return bytes(edited)
+
+
+class TestMapsFile:
+    """localize-once saves the maps it builds as `out_dir/maps.bin` and
+    loads them on later requests of the same config and seed."""
+
+    def _argv(self, tmp_path) -> list[str]:
+        """A localize-once request on a tiny config's scan and images."""
+        cfg_path = tiny_config(tmp_path)
+        cfg = load_config(cfg_path)
+        frame = generate_trial_sequence(
+            assemble_scene(cfg).scene, cfg.robot_pose, 1, cfg.lidar, cfg.cameras,
+            cfg.prism, cfg.oracle, seed=3,
+        )[0]
+        write_scan_csv(frame.scan, tmp_path / "scan.csv")
+        argv = ["localize-once", "--config", str(cfg_path), "--scan", str(tmp_path / "scan.csv")]
+        for i, image in enumerate(frame.images):
+            write_density_pgm(image, tmp_path / f"cam{i}.pgm")
+            argv += ["--image", str(tmp_path / f"cam{i}.pgm")]
+        return argv
+
+    def test_second_request_samples_no_map_and_builds_no_index(self, tmp_path, monkeypatch):
+        argv = self._argv(tmp_path)
+        counts = count_map_builds(monkeypatch)
+        first = run_cli(*argv)
+        assert counts == {"sample_model": 1, "MapIndex": 2}
+        assert (tmp_path / "out" / MAPS_FILE).is_file()
+        second = run_cli(*argv)
+        assert counts == {"sample_model": 1, "MapIndex": 2}
+        assert (second.returncode, second.stdout, second.stderr) == (0, first.stdout, "")
+
+    @pytest.mark.parametrize("icp", ICP_METHODS)
+    @pytest.mark.parametrize("variant", SCAN_METHODS)
+    def test_loaded_maps_give_the_output_of_built_ones(self, tmp_path, icp, variant):
+        argv = [*self._argv(tmp_path), "--icp", icp, "--scan-variant", variant]
+        path = tmp_path / "out" / MAPS_FILE
+        cold = run_cli(*argv)
+        warm = run_cli(*argv)
+        path.unlink()
+        rebuilt = run_cli(*argv)
+        assert cold.returncode == 0, cold.stderr
+        for proc in (warm, rebuilt):
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, cold.stdout, "")
+        assert loads_saved_maps(tmp_path / "exp.json")
+
+    def test_loaded_reference_map_takes_over_the_full_map_certificates(
+        self, tmp_path, monkeypatch
+    ):
+        """The loaded reference cloud is a `subset` of the loaded full
+        cloud, so a selective localization's reference stage starts from
+        the full-map stage's certificates, as on built maps: it searches
+        the same rows for the same result."""
+        argv = self._argv(tmp_path)
+        assert run_cli(*argv).returncode == 0
+        cfg = load_config(tmp_path / "exp.json")
+        loaded = experiment._load_maps(cfg, experiment._maps_key(cfg))
+        built = assemble_scene(cfg)
+        assert loaded.ref_map.cloud.parent is loaded.full_map.cloud
+        np.testing.assert_array_equal(loaded.ref_map.cloud.kept, built.ref_map.cloud.kept)
+        scan = read_scan_csv(tmp_path / "scan.csv")
+        rows, records = [], []
+        for bundle in (loaded, built):
+            tree = CountingTree(bundle.ref_map._tree)
+            monkeypatch.setattr(bundle.ref_map, "_tree", tree)
+            result = localize(
+                scan, bundle.full_map, bundle.ref_map, cfg.initial_pose, ("selective", "full"),
+                cfg=cfg.selective,
+            )
+            rows.append(tree.rows)
+            records.append(result_record(result, "selective", "full"))
+        assert records[0] == records[1] and records[0]["outcome"] == "localized"
+        assert rows[0] == rows[1] > 0
+
+    @pytest.mark.parametrize("stale", ["seed", "floorplan", "scipy"])
+    def test_stale_file_is_rebuilt_and_overwritten(self, tmp_path, monkeypatch, stale):
+        """A file saved for another seed, another floorplan or another
+        scipy's tree layout is never loaded: the request builds its maps
+        and saves them over it."""
+        argv = self._argv(tmp_path)
+        path, overrides = tmp_path / "out" / MAPS_FILE, {}
+        with monkeypatch.context() as patch:
+            if stale == "scipy":
+                patch.setattr(MapIndex, "_STATE_FORMAT", "scipy 0.0 cKDTree")
+            assert run_cli(*argv).returncode == 0
+        if stale == "seed":
+            argv, overrides = [*argv, "--seed", "9"], {"seed": 9}
+        elif stale == "floorplan":
+            plan = json.loads((tmp_path / "plan.json").read_text())
+            plan["walls"][2]["thickness"] = 0.25
+            (tmp_path / "plan.json").write_text(json.dumps(plan))
+        old = path.read_bytes()
+        counts = count_map_builds(monkeypatch)
+        got = run_cli(*argv)
+        assert counts == {"sample_model": 1, "MapIndex": 2}
+        assert path.read_bytes() != old
+        assert loads_saved_maps(tmp_path / "exp.json", overrides)
+        path.unlink()
+        want = run_cli(*argv)
+        assert (got.returncode, got.stdout, got.stderr) == (want.returncode, want.stdout, "")
+        assert loads_saved_maps(tmp_path / "exp.json", overrides)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda data, spans: data[: len(data) // 2],
+            lambda data, spans: data[:64],
+            lambda data, spans: b"",
+            lambda data, spans: flipped(data, spans[2][0] + 5),  # the full map's tree nodes
+            lambda data, spans: flipped(data, spans[7][0] + 3),  # the reference map's tree order
+            lambda data, spans: flipped(data, 40),  # the checksum
+            # re-signed: it fails the permutation check before scipy reads it
+            lambda data, spans: repeated_point(data, spans[3][0]),
+            lambda data, spans: repeated_point(data, spans[7][0]),
+        ],
+        ids=[
+            "truncated", "header_only", "empty", "tree_nodes", "tree_order", "checksum",
+            "re_signed_full_order", "re_signed_reference_order",
+        ],
+    )
+    def test_corrupt_file_is_rebuilt(self, tmp_path, monkeypatch, corrupt):
+        argv = self._argv(tmp_path)
+        path = tmp_path / "out" / MAPS_FILE
+        want = run_cli(*argv)
+        saved = path.read_bytes()
+        path.write_bytes(corrupt(saved, maps_file_arrays(saved)))
+        counts = count_map_builds(monkeypatch)
+        got = run_cli(*argv)
+        assert counts == {"sample_model": 1, "MapIndex": 2}
+        assert (got.returncode, got.stdout, got.stderr) == (0, want.stdout, "")
+        assert loads_saved_maps(tmp_path / "exp.json")
+
+    @pytest.mark.parametrize("place", ["out_dir_is_a_file", "rename_fails"])
+    def test_unwritable_place_changes_no_output(self, tmp_path, monkeypatch, place):
+        argv = self._argv(tmp_path)
+        want = run_cli(*argv)
+        out = tmp_path / "out"
+        (out / MAPS_FILE).unlink()
+        if place == "out_dir_is_a_file":
+            out.rmdir()
+            out.write_text("not a directory")
+        else:
+
+            def no_rename(*args, **kwargs):
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(os, "replace", no_rename)
+        got = run_cli(*argv)
+        assert (got.returncode, got.stdout, got.stderr) == (0, want.stdout, "")
+        if place == "out_dir_is_a_file":
+            assert out.read_text() == "not a directory"
+        else:
+            assert list(out.iterdir()) == []  # the temporary file is gone too

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from planloc import registration
 from planloc.experiment import assemble_scene, load_config
@@ -364,6 +365,115 @@ class TestMapIndexAgainstBruteForce:
             assert len(inside) and len(outside)
             assert ends[: len(inside)].all() and not ends[len(inside):].any()
         assert sum(searched) < len(poses) * len(queries)
+
+
+def restored(index: MapIndex) -> MapIndex:
+    """`index` restored on its own cloud from copies of its exported arrays,
+    as a maps file hands them over."""
+    arrays = [np.frombuffer(a.tobytes(), a.dtype).copy() for a in index._export()]
+    return MapIndex._restore(index.cloud, *arrays)
+
+
+class TestRestoredIndex:
+    """A `MapIndex` restored from its exported tree arrays answers every
+    query as the index it was exported from, searching the same rows."""
+
+    GATE = TestMapIndexAgainstBruteForce.GATE
+
+    def _queries(self, points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        walk = TestMapIndexAgainstBruteForce()
+        return np.concatenate([
+            around(points, rng, 300),  # widened by 0.5 m: some outside the map's box
+            points.max(axis=0) + rng.uniform(1.0, 5.0, (20, 3)),  # all outside it
+            points[rng.integers(len(points), size=50)],
+            walk._at_gate(points, rng, 1 - 4e-9),
+            walk._at_gate(points, rng, 1.0),
+            walk._at_gate(points, rng, 1 + 4e-9),
+        ])
+
+    @pytest.mark.parametrize("plan", [square_room_plan(), yawed_room_plan(31.0)],
+                             ids=["room", "yawed_31"])
+    def test_answers_like_the_built_index(self, plan):
+        cloud = sample_model(extrude_floorplan(plan), 60.0, seed=26)
+        built = MapIndex(cloud)
+        loaded = restored(built)
+        assert loaded.cloud is cloud and loaded._tree.data is cloud.points
+        rng = np.random.default_rng(27)
+        queries = self._queries(cloud.points, rng)
+        for gate in (np.inf, self.GATE):
+            for got, want in zip(loaded.query(queries, gate), built.query(queries, gate)):
+                np.testing.assert_array_equal(got, want)
+        trees = [CountingTree(built._tree), CountingTree(loaded._tree)]
+        built._tree, loaded._tree = trees
+        certificates = [NearestCertificates(), NearestCertificates()]
+        for pose in TestMapIndexAgainstBruteForce()._walk(rng):
+            world = pose.apply(queries)
+            answers = [
+                index.query(world, self.GATE, cert)
+                for index, cert in zip((built, loaded), certificates)
+            ]
+            for got, want in zip(answers[1], answers[0]):
+                np.testing.assert_array_equal(got, want)
+            assert trees[0].searches == trees[1].searches
+        assert trees[0].rows > 0
+
+    def test_restores_the_exported_state(self, room_index):
+        loaded = restored(room_index)
+        for got, want in zip(loaded._tree.__getstate__(), room_index._tree.__getstate__()):
+            if isinstance(want, np.ndarray) and want.dtype != np.dtype("S1"):
+                np.testing.assert_array_equal(got, want)
+            elif not isinstance(want, np.ndarray):  # the node buffer holds pointers
+                assert got == want
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda a: {**a, "indices": np.concatenate([a["indices"][1:2], a["indices"][1:]])},
+            lambda a: {**a, "indices": np.where(a["indices"] == 0, -1, a["indices"])},
+            lambda a: {**a, "indices": np.where(a["indices"] == 0, 10**12, a["indices"])},
+            lambda a: {**a, "indices": a["indices"][:-1]},
+            lambda a: {**a, "indices": a["indices"].astype(np.int32)},
+            lambda a: {**a, "nodes": a["nodes"][:-1]},
+            lambda a: {**a, "nodes": a["nodes"][:0]},
+            lambda a: {**a, "maxes": a["maxes"][:2]},
+            lambda a: {**a, "mins": a["mins"].astype(np.float32)},
+        ],
+        ids=[
+            "repeated_point", "negative_index", "huge_index", "short_order", "int32_order",
+            "partial_node", "no_node", "short_bounds", "float32_bounds",
+        ],
+    )
+    def test_refuses_arrays_that_do_not_fit(self, room_index, edit):
+        arrays = dict(zip(("nodes", "indices", "maxes", "mins"), room_index._export()))
+        with pytest.raises(ValueError):
+            MapIndex._restore(room_index.cloud, **edit(arrays))
+
+    def test_refuses_another_cloud(self, room_index, room_cloud):
+        arrays = room_index._export()
+        with pytest.raises(ValueError):
+            MapIndex._restore(room_cloud.subset(["floor"]), *arrays)
+
+    def test_kd_tree_state_layout_is_the_one_restoring_relies_on(self):
+        """scipy's private `cKDTree.__getstate__` layout, as `_export` and
+        `_restore` read and write it. A scipy that changes it fails here; at
+        run time a maps file then only falls back to building the maps."""
+        points = np.random.default_rng(28).uniform(0.0, 1.0, (500, 3))
+        tree = cKDTree(points, leafsize=registration._LEAF_SIZE, balanced_tree=False)
+        state = tree.__getstate__()
+        kinds = [a.dtype.str if isinstance(a, np.ndarray) else type(a).__name__ for a in state]
+        assert kinds == [
+            "|S1", "<f8", "int", "int", "int", "<f8", "<f8", "<i8", "NoneType", "NoneType",
+        ]
+        nodes, data, n, m, leafsize, maxes, mins, indices, _, _ = state
+        np.testing.assert_array_equal(data, points)
+        assert (n, m, leafsize) == (500, 3, registration._LEAF_SIZE)
+        np.testing.assert_array_equal(maxes, points.max(axis=0))
+        np.testing.assert_array_equal(mins, points.min(axis=0))
+        np.testing.assert_array_equal(np.sort(indices), np.arange(500))
+        assert len(nodes) % registration._node_bytes() == 0
+        registration._check_state(state)
+        with pytest.raises(ValueError):
+            registration._check_state(state[:9])
 
 
 class TestJacobian:
